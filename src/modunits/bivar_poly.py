@@ -9,6 +9,7 @@ coefficient positive under graded lex with C > B.
 
 from __future__ import annotations
 
+import heapq
 import re
 from math import gcd as _int_gcd
 
@@ -155,9 +156,7 @@ class BivarPoly:
                 out[m] = v
             else:
                 out.pop(m, None)
-        res = BivarPoly()
-        object.__setattr__(res, "terms", out)
-        return res
+        return _from_clean(out)
 
     __radd__ = __add__
 
@@ -187,9 +186,7 @@ class BivarPoly:
                     out[key] = v
                 else:
                     del out[key]
-        res = BivarPoly()
-        object.__setattr__(res, "terms", out)
-        return res
+        return _from_clean(out)
 
     __rmul__ = __mul__
 
@@ -255,31 +252,61 @@ C = BivarPoly({(0, 1): 1})
 def div_exact(f, g):
     """Quotient f // g when g divides f exactly in Z[B, C].
 
+    One pass over the remainder in descending graded-lex order: a heap holds
+    the remainder's monomials, and an entry whose term has since cancelled is
+    skipped when popped.  A monomial g just shifts the terms of f.
+
     Raises NotDivisible on a nonzero remainder or a non-integral quotient.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return ZERO
-    gm, gc = g.leading_term()
+    if len(g.terms) == 1:
+        ((a, b), gc), = g.terms.items()
+        out = {}
+        for (i, j), c in f.terms.items():
+            if i < a or j < b or c % gc:
+                raise NotDivisible("%r does not divide %r" % (g, f))
+            out[(i - a, j - b)] = c // gc
+        return _from_clean(out)
+    (ga, gb), gc = g.leading_term()
+    rest = [(a - ga, b - gb, c) for (a, b), c in g.terms.items() if (a, b) != (ga, gb)]
     rem = dict(f.terms)
+    # max-heap on graded lex (C > B) via the keys (-(i + j), -j)
+    heap = [(-(i + j), -j) for i, j in rem]
+    heapq.heapify(heap)
     out = {}
-    while rem:
-        lm = max(rem, key=_grlex_key)
-        lc = rem[lm]
-        i, j = lm[0] - gm[0], lm[1] - gm[1]
-        if i < 0 or j < 0 or lc % gc:
+    while heap:
+        neg_deg, neg_j = heapq.heappop(heap)
+        i, j = neg_j - neg_deg, -neg_j
+        lc = rem.pop((i, j), 0)
+        if not lc:
+            continue  # cancelled since it was pushed
+        qi, qj = i - ga, j - gb
+        if qi < 0 or qj < 0 or lc % gc:
             raise NotDivisible("%r does not divide %r" % (g, f))
         q = lc // gc
-        out[(i, j)] = q
-        for (a, b), c in g.terms.items():
-            key = (a + i, b + j)
-            v = rem.get(key, 0) - q * c
-            if v:
-                rem[key] = v
+        out[(qi, qj)] = q
+        # every other term of g lands strictly below (i, j) in graded lex
+        for a, b, c in rest:
+            key = (i + a, j + b)
+            v = rem.get(key)
+            if v is None:
+                rem[key] = -q * c
+                heapq.heappush(heap, (-(key[0] + key[1]), -key[1]))
+            elif v == q * c:
+                del rem[key]
             else:
-                rem.pop(key, None)
-    return BivarPoly(out)
+                rem[key] = v - q * c
+    return _from_clean(out)
+
+
+def _from_clean(terms):
+    """Wrap a dict that already has no zero coefficient or bad exponent."""
+    res = BivarPoly()
+    object.__setattr__(res, "terms", terms)
+    return res
 
 
 # -- GCD ---------------------------------------------------------------------
@@ -553,7 +580,14 @@ def poly_to_obj(f):
 
 
 def poly_from_obj(obj):
-    return BivarPoly({(int(i), int(j)): int(c) for i, j, c in obj["terms"]})
+    """Inverse of poly_to_obj; raises ValueError on a malformed term."""
+    terms = {}
+    for term in obj["terms"]:
+        i, j, c = term
+        if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, (int, str))):
+            raise ValueError("malformed term %r" % (term,))
+        terms[i, j] = int(c)
+    return BivarPoly(terms)
 
 
 def rat_to_obj(r):

@@ -76,14 +76,19 @@ class PolyDiskCache:
             entry = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if entry.get("toolVersion") != __version__:
+        if not isinstance(entry, dict) or entry.get("toolVersion") != __version__:
             return None
         polyobj = entry.get("polynomial")
+        if not isinstance(polyobj, dict):
+            return None
         if entry.get("contentHash") != self._hash(kind, n, polyobj):
             return None
-        if "num" in polyobj:
-            return rat_from_obj(polyobj)
-        return poly_from_obj(polyobj)
+        try:
+            if "num" in polyobj:
+                return rat_from_obj(polyobj)
+            return poly_from_obj(polyobj)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            return None
 
     def store(self, kind, n, poly):
         polyobj = rat_to_obj(poly) if isinstance(poly, RatPoly) else poly_to_obj(poly)

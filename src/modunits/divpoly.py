@@ -2,10 +2,19 @@
 
 P_n is the n-division polynomial of the curve
 Y^2 + (1-C)XY - BY = X^3 - BX^2 evaluated at the marked point (0, 0); it lies
-in Z[B, C] and satisfies the standard division-polynomial recurrence.  F_n is
-P_n with every factor shared with the discriminant D or with an earlier P_d
-removed; for n >= 4 it is the defining polynomial of the order-n locus X1(n)
-in the (B, C)-plane.
+in Z[B, C] and satisfies the standard division-polynomial recurrence.
+
+F_n is P_n with every factor shared with the discriminant D or with an earlier
+P_d removed; for n >= 4 it is the defining polynomial of the order-n locus
+X1(n) in the (B, C)-plane.  P_n factors along the divisors of n,
+
+    P_n = +-B^(a_n) * prod F_d   (d | n, d >= 4),
+
+each F_d once and no factor of D = B^3 * quartic, so F_n is computed by exact
+division: shift out the lowest power of B, divide once by each F_d for the
+proper divisors 4 <= d < n, and normalise.  FactorizationIncomplete is raised
+when that structure fails, i.e. when a division is inexact or the quartic of D
+still divides the result.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from .bivar_poly import (
     NotDivisible,
     RatPoly,
     div_exact,
-    remove_common,
 )
 
 __all__ = ["DivPolyCache", "FactorizationIncomplete", "DISCRIMINANT", "P", "F", "discriminant"]
@@ -82,16 +90,43 @@ class DivPolyCache:
         return DISCRIMINANT
 
     def F(self, n):
-        """F_n: the defining polynomial for n >= 3 (F_2 = B^4/D as a RatPoly)."""
+        """F_n: the defining polynomial for n >= 3 (F_2 = B^4/D as a RatPoly).
+
+        For n >= 4, P_n = +-B^a * prod F_d over the divisors d >= 4 of n, so
+        F_n is P_n with its lowest power of B shifted out, divided exactly by
+        F_d for each proper divisor 4 <= d < n, and made primitive with a
+        positive leading coefficient.  Raises FactorizationIncomplete if a
+        division fails or if the result is still divisible by the quartic
+        factor of D.
+        """
         if n < 2:
             raise ValueError("F_n is defined for n >= 2")
         if n == 2:
             return RatPoly(B ** 4, DISCRIMINANT)
         with self._lock:
             if n not in self._F:
-                mods = [DISCRIMINANT] + [self.P(d) for d in range(2, n)]
-                self._F[n] = remove_common(self.P(n), mods)
+                self._F[n] = self._F_by_divisors(n)
             return self._F[n]
+
+    def _F_by_divisors(self, n):
+        p = self.P(n)
+        res = div_exact(p, B ** min(i for i, _ in p.terms))
+        for d in range(4, n // 2 + 1):
+            if n % d == 0:
+                fd = self.F(d)
+                try:
+                    res = div_exact(res, fd)
+                except NotDivisible:
+                    raise FactorizationIncomplete(
+                        "P_%d is not divisible by F_%d" % (n, d)
+                    ) from None
+        # no B check is needed: after the shift some term is free of B, and an
+        # exact quotient of such a polynomial has a B-free term too
+        try:
+            div_exact(res, _D_COFACTOR)
+        except NotDivisible:
+            return res.primitive_positive()
+        raise FactorizationIncomplete("F_%d is divisible by the quartic of D" % n)
 
     def factor_P_over_F(self, n):
         """Write P_n = sign * prod F_d^{a_d} * D^{a_D} by exact trial division.

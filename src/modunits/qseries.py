@@ -141,9 +141,16 @@ class QSeries:
     def __neg__(self):
         return QSeries(self.denomN, self.ord, [-c for c in self.coeffs], self.precN)
 
+    def _constant(self, c):
+        """The constant c at this series' precision; at precN <= 0 the
+        constant term lies beyond the tracked window and is absorbed."""
+        if self.precN <= 0:
+            return QSeries.zero(self.denomN, self.precN)
+        return QSeries.from_terms(self.denomN, {0: c}, self.precN)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QSeries.from_terms(self.denomN, {0: other}, self.precN)
+            other = self._constant(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.denomN != other.denomN:
@@ -163,7 +170,7 @@ class QSeries:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = QSeries.from_terms(self.denomN, {0: other}, self.precN)
+            other = self._constant(other)
         return self + (-other)
 
     def __rsub__(self, other):

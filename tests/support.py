@@ -90,6 +90,39 @@ def sylvester_resultant_in_C(f, g):
     return det(mat)
 
 
+def div_exact_rescan(f, g):
+    """Exact division in Z[B, C] by rescanning the whole remainder for its
+    graded-lex (C > B) leading term before every quotient term; quadratic,
+    kept as the reference for the library's one-pass div_exact."""
+    from modunits.bivar_poly import BivarPoly, NotDivisible
+
+    def grlex(mono):
+        return (mono[0] + mono[1], mono[1])
+
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    gm = max(g.terms, key=grlex)
+    gc = g.terms[gm]
+    rem = dict(f.terms)
+    out = {}
+    while rem:
+        lm = max(rem, key=grlex)
+        lc = rem[lm]
+        i, j = lm[0] - gm[0], lm[1] - gm[1]
+        if i < 0 or j < 0 or lc % gc:
+            raise NotDivisible("%r does not divide %r" % (g, f))
+        q = lc // gc
+        out[(i, j)] = q
+        for (a, b), c in g.terms.items():
+            key = (a + i, b + j)
+            v = rem.get(key, 0) - q * c
+            if v:
+                rem[key] = v
+            else:
+                rem.pop(key, None)
+    return BivarPoly(out)
+
+
 def random_vector_in_S(rng, N, bound=5):
     """Rejection-sample an exponent vector in S with entries in [-bound, bound]."""
     m = N // 2

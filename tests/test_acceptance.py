@@ -263,3 +263,20 @@ def test_criterion_12_leading_exponent_constraint():
         for vec in basis_S(N):
             ok = ok and leading_exponent_check(vec)
     _report(12, "leading-exponent constraint", ok, time.monotonic() - start)
+
+
+def test_criterion_13_f24_divisor_path():
+    # cold cache: P_1..P_24 and F_4..F_24 all computed inside the budget
+    start = time.monotonic()
+    cache = DivPolyCache()
+    f24 = cache.F(24)
+    sign, exps = cache.factor_P_over_F(24)
+    elapsed = time.monotonic() - start
+    ok = len(f24.terms) == 93 and f24.total_degree == 26
+    ok = ok and exps == {3: 192, 4: 1, 6: 1, 8: 1, 12: 1, 24: 1}
+    # the sign is whatever the computation found; it must rebuild P_24
+    rebuilt = sign * B ** 192
+    for d in (4, 6, 8, 12, 24):
+        rebuilt = rebuilt * cache.F(d)
+    ok = ok and sign in (1, -1) and rebuilt == cache.P(24)
+    _report(13, "F_24 by divisor path", ok, elapsed, budget=2)

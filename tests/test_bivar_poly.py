@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from modunits.bivar_poly import (
     B,
@@ -17,7 +17,7 @@ from modunits.bivar_poly import (
     remove_common,
     render_poly,
 )
-from support import sylvester_resultant_in_C
+from support import div_exact_rescan, sylvester_resultant_in_C
 
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -26,6 +26,28 @@ small_polys = st.dictionaries(
 ).map(BivarPoly)
 
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+
+nonzero_ints = st.integers(-9, 9).filter(bool)
+monomials = st.builds(
+    lambda i, j, c: BivarPoly({(i, j): c}), st.integers(0, 4), st.integers(0, 4), nonzero_ints
+)
+constants = nonzero_ints.map(lambda c: BivarPoly({(0, 0): c}))
+
+
+def _negative_lead(g):
+    return g if g.leading_term()[1] < 0 else -g
+
+
+divisors = st.one_of(
+    nonzero_polys, nonzero_polys.map(_negative_lead), monomials, constants
+)
+
+
+def _quotient_or_error(div, f, g):
+    try:
+        return div(f, g)
+    except NotDivisible:
+        return NotDivisible
 
 
 def test_add_examples():
@@ -49,6 +71,39 @@ def test_div_exact_examples():
         div_exact(C, B)
     with pytest.raises(NotDivisible):
         div_exact(B ** 2, 2 * B)
+
+
+@settings(max_examples=100)
+@given(small_polys, divisors)
+def test_div_exact_recovers_factor(f, g):
+    assert div_exact(f * g, g) == f
+    assert div_exact_rescan(f * g, g) == f
+
+
+@settings(max_examples=100)
+@given(small_polys, divisors)
+def test_div_exact_rejects_non_multiples(f, g):
+    assume(not (g.is_constant and abs(g.constant()) == 1))
+    # f*g + 1 is divisible by g only when g is a unit
+    with pytest.raises(NotDivisible):
+        div_exact(f * g + 1, g)
+    with pytest.raises(NotDivisible):
+        div_exact_rescan(f * g + 1, g)
+
+
+@settings(max_examples=100)
+@given(nonzero_polys, divisors, st.integers(2, 5))
+def test_div_exact_rejects_non_integral_quotient(f, g, k):
+    assume(f.int_content() % k)
+    with pytest.raises(NotDivisible):
+        div_exact(f * g, k * g)
+
+
+@settings(max_examples=150)
+@given(small_polys, divisors)
+def test_div_exact_matches_rescan_oracle(f, g):
+    # arbitrary pairs, mostly non-multiples: same quotient or same refusal
+    assert _quotient_or_error(div_exact, f, g) == _quotient_or_error(div_exact_rescan, f, g)
 
 
 def test_gcd_examples():

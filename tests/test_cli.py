@@ -167,6 +167,32 @@ def test_cache_round_trip(tmp_path):
     obj["contentHash"] = "0" * 64
     entry.write_text(json.dumps(obj))
     assert run_cli("poly", "F", "--n", "8", "--cache", str(cache_dir)) == cold
+    # valid JSON that is not an entry object
+    for text in ("[]", '"x"', "3", "null"):
+        entry.write_text(text)
+        assert run_cli("poly", "F", "--n", "8", "--cache", str(cache_dir)) == cold, text
+        assert json.loads(entry.read_text())["kind"] == "F"  # rewritten
+    # a missing or malformed polynomial, with the hash made to match it
+    good = json.loads(entry.read_text())
+    for polyobj in (
+        None,
+        [],
+        {},
+        {"terms": 5},
+        {"terms": [[1, 2]]},
+        {"terms": [[1, 2, "x"]]},
+        {"terms": [[1, 2, 1.5]]},
+        {"terms": [[-1, 2, "1"]]},
+        {"num": {"terms": [[0, 0, "1"]]}},
+        {"num": {"terms": [[0, 0, "1"]]}, "den": {"terms": []}},
+    ):
+        bad = dict(good, polynomial=polyobj)
+        bad["contentHash"] = cli.PolyDiskCache._hash("F", 8, polyobj)
+        if polyobj is None:
+            del bad["polynomial"]
+        entry.write_text(json.dumps(bad))
+        assert cli.PolyDiskCache(cache_dir).load("F", 8) is None, polyobj
+        assert run_cli("poly", "F", "--n", "8", "--cache", str(cache_dir)) == cold, polyobj
 
 
 def test_cache_entry_schema(tmp_path):

@@ -2,11 +2,23 @@ import random
 
 import pytest
 
-from modunits.bivar_poly import B, C, ONE, ZERO, BivarPoly, gcd, parse_poly
+from modunits.bivar_poly import (
+    B,
+    C,
+    ONE,
+    ZERO,
+    BivarPoly,
+    div_exact,
+    gcd,
+    parse_poly,
+    remove_common,
+)
 from modunits.divpoly import (
+    _D_COFACTOR,
     DISCRIMINANT,
     DivPolyCache,
     F,
+    FactorizationIncomplete,
     P,
     discriminant,
 )
@@ -90,6 +102,53 @@ def test_f_coprime_to_discriminant_and_earlier_p():
         assert gcd(fn, DISCRIMINANT).is_constant
         for d in range(2, n):
             assert gcd(fn, cache.P(d)).is_constant
+
+
+def test_f_matches_remove_common_oracle():
+    # the GCD path strips everything P_n shares with D and every earlier P_d
+    cache = DivPolyCache()
+    for n in range(4, 15):
+        mods = [DISCRIMINANT] + [cache.P(d) for d in range(2, n)]
+        assert cache.F(n) == remove_common(cache.P(n), mods), "F_%d" % n
+
+
+def _from_sympy(poly):
+    return BivarPoly({(i, j): int(c) for (i, j), c in poly.terms()})
+
+
+def test_p_factors_along_divisors_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    b, c = sympy.symbols("B C")
+    cache = DivPolyCache()
+    for n in range(4, 13):
+        expr = sum(
+            coeff * b ** i * c ** j for (i, j), coeff in cache.P(n).terms.items()
+        )
+        _, factors = sympy.factor_list(expr, b, c)
+        got = sorted(
+            (repr(_from_sympy(sympy.Poly(f, b, c)).primitive_positive()), m)
+            for f, m in factors
+        )
+        # a_n = round(n^2 / 3) is observed, not derived here
+        want = [(repr(B), round(n * n / 3))] + [
+            (repr(cache.F(d)), 1) for d in range(4, n + 1) if n % d == 0
+        ]
+        assert got == sorted(want), "P_%d" % n
+
+
+def test_f_guard_rejects_broken_structure():
+    cache = DivPolyCache()
+    p12 = cache.P(12)
+    # F_6 divided out of P_12 beforehand: the division by F_6 fails
+    cache._P[12] = div_exact(p12, cache.F(6)) * (C + 7)
+    with pytest.raises(FactorizationIncomplete):
+        cache.F(12)
+    # an extra quartic factor of D survives every division
+    cache._P[12] = p12 * _D_COFACTOR
+    with pytest.raises(FactorizationIncomplete):
+        cache.F(12)
+    cache._P[12] = p12
+    assert cache.F(12) == F(12)
 
 
 N5_TABLE = {

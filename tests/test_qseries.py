@@ -104,6 +104,22 @@ def test_rescale():
         f.rescale(12)
 
 
+def test_constant_absorbed_at_non_positive_precision():
+    # q^(-7/5) + O(q^(-2/5)) and q^(-3/4) + O(1): the constant term is
+    # beyond the tracked window, so adding one changes nothing
+    for s in (QSeries.monomial(5, -7, -2), QSeries.monomial(4, -3, 0)):
+        for c in (1, -3, Fraction(1, 2)):
+            assert s + c == s
+            assert c + s == s
+            assert s - c == s
+            assert c - s == -s
+    zero = QSeries.zero(3, -1)
+    assert zero + 2 == zero and 2 - zero == zero
+    # at positive precision the constant is still added
+    s = QSeries.monomial(5, -7, 1)
+    assert (s + 2).coeff(0) == 2 and (s - 2).coeff(0) == -2
+
+
 def test_add_requires_matching_grid():
     f = QSeries.one(5, 4)
     g = QSeries.one(10, 8)
