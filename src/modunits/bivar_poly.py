@@ -254,7 +254,7 @@ def div_exact(f, g):
 
     One pass over the remainder in descending graded-lex order: a heap holds
     the remainder's monomials, and an entry whose term has since cancelled is
-    skipped when popped.  A monomial g just shifts the terms of f.
+    skipped when popped.
 
     Raises NotDivisible on a nonzero remainder or a non-integral quotient.
     """
@@ -262,14 +262,6 @@ def div_exact(f, g):
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return ZERO
-    if len(g.terms) == 1:
-        ((a, b), gc), = g.terms.items()
-        out = {}
-        for (i, j), c in f.terms.items():
-            if i < a or j < b or c % gc:
-                raise NotDivisible("%r does not divide %r" % (g, f))
-            out[(i - a, j - b)] = c // gc
-        return _from_clean(out)
     (ga, gb), gc = g.leading_term()
     rest = [(a - ga, b - gb, c) for (a, b), c in g.terms.items() if (a, b) != (ga, gb)]
     rem = dict(f.terms)

@@ -79,8 +79,6 @@ class PolyDiskCache:
         if not isinstance(entry, dict) or entry.get("toolVersion") != __version__:
             return None
         polyobj = entry.get("polynomial")
-        if not isinstance(polyobj, dict):
-            return None
         if entry.get("contentHash") != self._hash(kind, n, polyobj):
             return None
         try:

@@ -177,6 +177,9 @@ def test_cache_round_trip(tmp_path):
     for polyobj in (
         None,
         [],
+        "x",
+        "num",
+        5,
         {},
         {"terms": 5},
         {"terms": [[1, 2]]},
