@@ -1,7 +1,8 @@
 """Command-line front end: polynomial tables, Siegel expansions, lattice
 bases, decomposition, and the batch verification harness.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure or a closed standard output,
+2 usage or input error.
 Output is deterministic for fixed flags (sorted JSON, no timestamps).
 """
 
@@ -372,10 +373,20 @@ def main(argv=None, out=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        out.flush()
+        return code
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to the null
+        # device so the flush at interpreter exit does not fail again
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 1
 
 
 def run():

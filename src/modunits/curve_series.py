@@ -9,8 +9,6 @@ coming from the exponent dictionary, and that D(b, c) agrees with d.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import divpoly
 from .qseries import QSeries
 from .siegel import product_series
@@ -108,31 +106,22 @@ def expand_curve(N, precN=None, divcache=None):
     return CurveExpansion(N, precN, divcache)
 
 
-def _first_nonzero(qs):
-    for j, c in enumerate(qs.coeffs):
-        if c:
-            return Fraction(qs.ord + j, qs.denomN)
-    return None
+def _agreement_report(check, N, precN, lhs, rhs, n=None):
+    """Compare lhs and rhs on their common window, from the lower of exponent
+    0 and their first tracked exponents up to the lower precision.  A check
+    whose window holds no exponent compares nothing and does not pass."""
+    bad = lhs.first_difference(rhs)
+    window = min(lhs.precN, rhs.precN) - min(0, lhs.ord, rhs.ord)
+    report = {"check": check, "N": N, "precN": precN, "pass": bad is None and window > 0}
+    if n is not None:
+        report["n"] = n
+    if bad is not None:
+        report["firstFailingExponent"] = str(bad)
+    return report
 
 
 def _vanishing_report(check, N, precN, qs, n=None):
-    bad = _first_nonzero(qs)
-    report = {"check": check, "N": N, "precN": precN, "pass": bad is None}
-    if n is not None:
-        report["n"] = n
-    if bad is not None:
-        report["firstFailingExponent"] = str(bad)
-    return report
-
-
-def _agreement_report(check, N, precN, lhs, rhs, n=None):
-    bad = lhs.first_difference(rhs)
-    report = {"check": check, "N": N, "precN": precN, "pass": bad is None}
-    if n is not None:
-        report["n"] = n
-    if bad is not None:
-        report["firstFailingExponent"] = str(bad)
-    return report
+    return _agreement_report(check, N, precN, qs, QSeries.zero(N, qs.precN), n=n)
 
 
 def defining_equation_report(N, precN=None, expansion=None):

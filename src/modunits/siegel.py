@@ -9,6 +9,14 @@ integer coefficients and lives on the q^(1/N) grid; the scalar i and the
 rational exponent w are tracked separately, so the whole computation stays in
 exact rational arithmetic.  Indices outside [1, N/2] fold back via
 h_{-a} = -h_a and h_{(a1+1,0)} = -h_{(a1,0)}.
+
+Every reduced series is a finite product of factors (1 - q^(x/N)) below the
+precision, so a product of them to integer powers is prod_x (1 - q^(x/N))^m_x
+with integer multiplicities m_x.  Its coefficients f_n (on the q^(1/N) grid)
+follow from the logarithmic derivative: q f'/f = sum_n a_n q^(n/N) with
+a_n = -sum_{x | n} x m_x, hence f_0 = 1 and n f_n = sum_{1<=j<=n} a_j f_{n-j}.
+Each (1 - q^x)^(+-1) has integer coefficients and constant term 1, so f_n is
+an integer and the division by n is exact.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING, Optional
 
 from .qseries import QSeries
@@ -56,6 +65,21 @@ def lead_exponent(k, N):
     return (a * a - a + Fraction(1, 6)) / 2
 
 
+def _factor_exponents(k, N, precN):
+    """Exponent numerators x < precN of the factors (1 - q^(x/N)) of the
+    reduced (k/N, 0) series: k, then n*N - k and n*N + k for n >= 1."""
+    exps = []
+    if k < precN:
+        exps.append(k)
+    n = 1
+    while n * N - k < precN:
+        exps.append(n * N - k)
+        if n * N + k < precN:
+            exps.append(n * N + k)
+        n += 1
+    return exps
+
+
 @lru_cache(maxsize=None)
 def h_star(k, N, precN):
     """Reduced series (constant term 1) of the Siegel function at (k/N, 0),
@@ -67,17 +91,8 @@ def h_star(k, N, precN):
     _check_index(k, N)
     if precN < 1:
         raise ValueError("precN must be at least 1")
-    exps = []
-    if k < precN:
-        exps.append(k)
-    n = 1
-    while n * N - k < precN:
-        exps.append(n * N - k)
-        if n * N + k < precN:
-            exps.append(n * N + k)
-        n += 1
     series = QSeries.one(N, precN)
-    for e in exps:
+    for e in _factor_exponents(k, N, precN):
         series = QSeries.from_terms(N, {0: 1, e: -1}, precN) * series
     return series
 
@@ -156,14 +171,32 @@ class SiegelProduct:
 
 def product_series(e, precN):
     """The product over k of the (k/N, 0) Siegel functions to the powers e(k),
-    as a SiegelProduct at the requested precision."""
+    as a SiegelProduct at the requested precision.
+
+    The reduced part is prod_x (1 - q^(x/N))^m_x, with m_x summed from the
+    factor exponents of every h_star(k) weighted by e(k); its coefficients come
+    from one pass of the integer recurrence n f_n = sum_j a_j f_{n-j} with
+    a_n = -sum_{x | n} x m_x (see the module docstring for why n divides).
+    """
+    if precN < 1:
+        raise ValueError("precN must be at least 1")
     N = e.N
-    ipow = sum(e.e) % 4
     lead = Fraction(0)
-    fstar = QSeries.one(N, precN)
+    mult = [0] * precN
     for k, ek in enumerate(e.e, start=1):
         if not ek:
             continue
         lead += ek * lead_exponent(k, N)
-        fstar = fstar * h_star(k, N, precN).pow_int(ek)
-    return SiegelProduct(N, ipow, Fraction(1), lead, fstar, e)
+        for x in _factor_exponents(k, N, precN):
+            mult[x] += ek
+    a = [0] * precN
+    for x in range(1, precN):
+        if mult[x]:
+            ax = x * mult[x]
+            for n in range(x, precN, x):
+                a[n] -= ax
+    f = [1] * precN
+    for n in range(1, precN):
+        f[n] = sum(map(mul, a[1 : n + 1], f[n - 1 :: -1])) // n
+    fstar = QSeries(N, 0, f, precN)
+    return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)

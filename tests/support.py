@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (dense lists, no precision tracking, no
 reuse of the library's arithmetic kernels) so that derived expected values are
-computed along a different path than the code under test.
+computed along a different path than the code under test.  The exception is
+product_series_by_powers, which composes the library's series arithmetic
+(h_star, pow_int, inv) as the reference for product_series' one-pass
+recurrence, which uses none of it.
 """
 
 from modunits.unit_lattice import ExpVector, is_in_S
@@ -48,6 +51,26 @@ def siegel_factor_exponents(k, N, cap):
 
 def dense_h_star(k, N, cap):
     return dense_product_of_factors(siegel_factor_exponents(k, N, cap), cap)
+
+
+def product_series_by_powers(e, precN):
+    """product_series by series arithmetic: the product over k of
+    h_star(k, N, precN) ** e(k), by the library's binary powering and
+    inversion; kept as the reference for the one-pass recurrence."""
+    from fractions import Fraction
+
+    from modunits.qseries import QSeries
+    from modunits.siegel import SiegelProduct, h_star, lead_exponent
+
+    N = e.N
+    lead = Fraction(0)
+    fstar = QSeries.one(N, precN)
+    for k, ek in enumerate(e.e, start=1):
+        if not ek:
+            continue
+        lead += ek * lead_exponent(k, N)
+        fstar = fstar * h_star(k, N, precN).pow_int(ek)
+    return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)
 
 
 def sylvester_resultant_in_C(f, g):

@@ -1,5 +1,12 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from modunits import cli
 from modunits.qseries import QSeries
@@ -149,6 +156,65 @@ def test_determinism_byte_identical():
     c = run_cli("basis", "--N", "12")
     d = run_cli("basis", "--N", "12")
     assert c == d
+
+
+# sha256 of the stdout of `modunits verify --N 4..10 --trials 2 --seed 9`, as
+# printed when product_series still multiplied powers of the h_star series
+VERIFY_4_10_SHA256 = "c1f1984bff0847b0b6c7d8efaa0923153b962eea640d4e86c50ecd0c2e1fad23"
+
+
+def test_verify_stdout_pinned():
+    code, text = run_cli("verify", "--N", "4..10", "--trials", "2", "--seed", "9")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_4_10_SHA256
+
+
+def test_verify_empty_window_does_not_pass():
+    # at N = 4, --prec 1 tracks F_4(b, c) = c only below q^(-1): nothing compared
+    code, text = run_cli("verify", "--N", "4", "--prec", "1", "--trials", "1")
+    assert code == 1
+    obj = json.loads(text)
+    assert obj["pass"] is False
+    failed = {r["check"] for r in obj["reports"] if not r["pass"]}
+    assert failed == {"defining_equation", "d_consistency"}
+
+
+class _ClosedPipe(io.StringIO):
+    def __init__(self, raise_in):
+        super().__init__()
+        self.raise_in = raise_in
+
+    def write(self, text):
+        if self.raise_in == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.raise_in == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("raise_in", ["write", "flush"])
+def test_closed_stdout_exits_without_traceback(raise_in, capsys):
+    assert cli.main(["basis", "--N", "12"], out=_ClosedPipe(raise_in)) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_subprocess():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    # a large write (basis) and a small one left in the buffer until exit (poly)
+    for argv in (["basis", "--N", "200"], ["poly", "F", "--n", "4"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "modunits.cli"] + argv,
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b""), argv
 
 
 def test_cache_round_trip(tmp_path):

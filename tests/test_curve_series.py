@@ -47,6 +47,12 @@ def test_c_vanishes_at_level_4():
     exp = _expansion(4, 60)
     assert exp.c.is_zero
     assert check_defining_equation(4, 60)
+    # c is tracked to O(q^((precN - 5)/4)), so F_4(b, c) = c covers no
+    # exponent >= 0 below precN = 6; a check that compares nothing fails
+    assert not check_defining_equation(4, 1)
+    assert not check_defining_equation(4, 5)
+    assert check_defining_equation(4, 6)
+    assert not check_d_consistency(4, 1)
 
 
 def test_n5_series_identities_from_table():

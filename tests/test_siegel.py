@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,13 @@ from modunits.siegel import (
     lead_exponent,
     product_series,
 )
-from modunits.unit_lattice import ExpVector, d_to_h, t_to_h
-from support import dense_h_star
+from modunits.unit_lattice import ExpVector, d_to_h, p_to_h, t_to_h, v_to_h
+from support import (
+    dense_h_star,
+    dense_product_of_factors,
+    product_series_by_powers,
+    siegel_factor_exponents,
+)
 
 
 def test_h_star_reduced_leading_terms():
@@ -148,3 +154,61 @@ def test_siegel_product_json():
     assert obj["ipow"] == 0
     assert obj["leadExp"] == "1"
     assert obj["fstar"]["denomN"] == 7
+
+
+def assert_same_product(got, want):
+    """Field-by-field equality, with the reduced series' coefficients plain
+    ints on both sides."""
+    for f in fields(got):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert all(type(c) is int for c in got.fstar.coeffs)
+    assert all(type(c) is int for c in want.fstar.coeffs)
+    assert type(got.scalar) is type(want.scalar) is Fraction
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_product_series_matches_powers_oracle(data):
+    N = data.draw(st.integers(4, 40), label="N")
+    m = N // 2
+    e = data.draw(st.lists(st.integers(-300, 300), min_size=m, max_size=m), label="e")
+    precN = data.draw(st.integers(1, 15 * N), label="precN")
+    vec = ExpVector(N, tuple(e))
+    assert_same_product(product_series(vec, precN), product_series_by_powers(vec, precN))
+
+
+def test_product_series_dictionary_vectors_match_powers_oracle():
+    # the p_n (n <= m + 2), d and v vectors that verify expands at N = 4..14
+    for N in range(4, 15):
+        m = N // 2
+        vecs = [d_to_h(N), v_to_h(N)]
+        for n in range(1, m + 3):
+            folded = p_to_h(n, N)
+            if folded is not None:
+                vecs.append(folded[1])
+        for vec in vecs:
+            for precN in (1, 2, m + 2, 15 * N):
+                assert_same_product(
+                    product_series(vec, precN), product_series_by_powers(vec, precN)
+                )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_product_series_nonnegative_matches_dense_oracle(data):
+    N = data.draw(st.integers(4, 16), label="N")
+    m = N // 2
+    e = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m), label="e")
+    precN = data.draw(st.integers(1, 5 * N), label="precN")
+    factors = []
+    for k, ek in enumerate(e, start=1):
+        factors += siegel_factor_exponents(k, N, precN) * ek
+    sp = product_series(ExpVector(N, tuple(e)), precN)
+    assert list(sp.fstar.coeffs) == dense_product_of_factors(factors, precN)
+
+
+def test_product_series_rejects_non_positive_precision():
+    for vec in (ExpVector.zero(7), d_to_h(7)):
+        for precN in (0, -3):
+            with pytest.raises(ValueError):
+                product_series(vec, precN)
