@@ -15,7 +15,6 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from math import gcd as _int_gcd
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .unit_lattice import (
     d_to_h,
     decompose_series,
     is_in_S,
+    lattice_index,
     p_to_h,
     t_to_h,
     to_p_expression,
@@ -157,13 +157,10 @@ def _cmd_basis(args, out):
         basis = basis_S(args.N)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    det = 1
-    for i, vec in enumerate(basis):
-        det *= vec.e[i]
     obj = {
         "N": args.N,
         "rank": len(basis),
-        "index": abs(det),
+        "index": lattice_index(args.N),
         "basis": [list(vec.e) for vec in basis],
     }
     print(_dump(obj), file=out)
@@ -293,18 +290,11 @@ def _cmd_verify(args, out):
         levels = _parse_range(args.N)
     except ValueError as exc:
         raise _UsageError(str(exc))
-
-    def run_level(N):
+    reports = []
+    for N in levels:
         precN = args.prec if args.prec else 15 * N
         nmax = args.nmax if args.nmax else N // 2 + 2
-        return _verify_tasks(N, precN, nmax, args.trials, args.seed)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(run_level, levels))
-    else:
-        chunks = [run_level(N) for N in levels]
-    reports = [r for chunk in chunks for r in chunk]
+        reports.extend(_verify_tasks(N, precN, nmax, args.trials, args.seed))
     reports.sort(key=lambda r: (r["N"], r["check"], r.get("n", -1)))
     all_pass = all(r["pass"] for r in reports)
     print(_dump({"pass": all_pass, "reports": reports}), file=out)
@@ -351,7 +341,6 @@ def _build_parser():
     p_ver.add_argument("--nmax", type=int, default=0, help="largest p_n index (default m+2)")
     p_ver.add_argument("--trials", type=int, default=20)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1)
 
     return parser
 

@@ -19,8 +19,6 @@ still divides the result.
 
 from __future__ import annotations
 
-import threading
-
 from .bivar_poly import (
     B,
     C,
@@ -31,7 +29,7 @@ from .bivar_poly import (
     div_exact,
 )
 
-__all__ = ["DivPolyCache", "FactorizationIncomplete", "DISCRIMINANT", "P", "F", "discriminant"]
+__all__ = ["DivPolyCache", "FactorizationIncomplete", "DISCRIMINANT"]
 
 
 class FactorizationIncomplete(ArithmeticError):
@@ -49,17 +47,15 @@ DISCRIMINANT = B ** 3 * _D_COFACTOR
 class DivPolyCache:
     """Memoised P_n / F_n computation.
 
-    The cache is the only mutable state; a reentrant lock makes it safe to
-    share one instance across threads.  ``max_n`` guards against accidental
-    huge requests (deg P_n grows quadratically); pass a larger value to
-    override.
+    The cache is the only mutable state and is not locked, so give each
+    thread its own instance.  ``max_n`` guards against accidental huge
+    requests (deg P_n grows quadratically); pass a larger value to override.
     """
 
     def __init__(self, max_n=200):
         self.max_n = max_n
         self._P = {0: ZERO, 1: ONE, 2: -B, 3: -(B ** 3), 4: C * B ** 5}
         self._F = {3: B}
-        self._lock = threading.RLock()
 
     def P(self, n):
         """P_n, for any integer n (P_{-n} = -P_n)."""
@@ -70,11 +66,10 @@ class DivPolyCache:
             )
         if n < 0:
             return -self.P(-n)
-        with self._lock:
-            if n not in self._P:
-                for k in range(max(self._P) + 1, n + 1):
-                    self._P[k] = self._compute(k)
-            return self._P[n]
+        if n not in self._P:
+            for k in range(max(self._P) + 1, n + 1):
+                self._P[k] = self._compute(k)
+        return self._P[n]
 
     def _compute(self, n):
         P = self._P
@@ -85,9 +80,6 @@ class DivPolyCache:
         num = P[l] * (P[l + 2] * P[l - 1] ** 2 - P[l - 2] * P[l + 1] ** 2)
         # division by P_2 = -B is exact for every even index
         return div_exact(num, P[2])
-
-    def discriminant(self):
-        return DISCRIMINANT
 
     def F(self, n):
         """F_n: the defining polynomial for n >= 3 (F_2 = B^4/D as a RatPoly).
@@ -103,10 +95,9 @@ class DivPolyCache:
             raise ValueError("F_n is defined for n >= 2")
         if n == 2:
             return RatPoly(B ** 4, DISCRIMINANT)
-        with self._lock:
-            if n not in self._F:
-                self._F[n] = self._F_by_divisors(n)
-            return self._F[n]
+        if n not in self._F:
+            self._F[n] = self._F_by_divisors(n)
+        return self._F[n]
 
     def _F_by_divisors(self, n):
         p = self.P(n)
@@ -177,15 +168,3 @@ def _strip_full(f, g):
 
 
 _default_cache = DivPolyCache()
-
-
-def P(n):
-    return _default_cache.P(n)
-
-
-def F(n):
-    return _default_cache.F(n)
-
-
-def discriminant():
-    return DISCRIMINANT

@@ -9,6 +9,14 @@ and S is a full-rank sublattice of Z^m.  This module computes a canonical
 basis of S (Hermite normal form), converts between the {b, d, p_n} and Siegel
 generating sets in both directions, and decomposes reduced unit series into
 exponent vectors by the greedy coefficient scan.
+
+The basis needs no elimination.  S is the kernel of the ledger map onto
+Z/12 x Z/M, M = N*gcd(N, 2), and the columns k..m map onto the subgroup
+{(u, v) : v = u*k^2 mod c_k}, with c_m = gcd(M, 12 m^2) and
+c_k = gcd(c_(k+1), 2k+1).  Reading the columns from right to left, the pivot
+of row k is the index step h_k = c_(k+1)/c_k (h_m = 12M/c_m), and each entry
+right of it is the unique solution in [0, h_j) of one linear congruence.  The
+pivots multiply to [Z^m : S] = 12M.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import prod
 from typing import Tuple
 
 from .siegel import fold_index, h_star
@@ -161,124 +170,80 @@ def is_in_S(e):
     return e.sum1 % 12 == 0 and e.sum2 % _modulus2(e.N) == 0
 
 
-# -- integer lattice machinery (row-style Hermite normal form) ----------------
+# -- the canonical basis of S, column by column from the right ----------------
 
 
-def _hnf_rows(rows):
-    """Canonical row Hermite normal form: pivots positive, entries above each
-    pivot reduced into [0, pivot).  Returns the list of nonzero rows."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= len(mat):
-            break
-        # eliminate below pivot_row in this column
-        for r in range(pivot_row + 1, len(mat)):
-            while mat[r][col]:
-                a, b = mat[pivot_row][col], mat[r][col]
-                if a == 0:
-                    mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
-                    continue
-                q = b // a
-                if q:
-                    for j in range(ncols):
-                        mat[r][j] -= q * mat[pivot_row][j]
-                if mat[r][col]:
-                    mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
-        if mat[pivot_row][col] == 0:
-            continue
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-x for x in mat[pivot_row]]
-        piv = mat[pivot_row][col]
-        for r in range(pivot_row):
-            q = mat[r][col] // piv
-            if q:
-                for j in range(ncols):
-                    mat[r][j] -= q * mat[pivot_row][j]
-        pivot_row += 1
-    return [row for row in mat[:pivot_row]]
+def _solve(a, b, n):
+    """The least x >= 0 with a*x = b mod n, for b divisible by gcd(a, n);
+    x is unique mod n/gcd(a, n)."""
+    g = _int_gcd(a, n)
+    n //= g
+    return b // g * pow(a // g, -1, n) % n
 
 
-def _left_kernel(mat):
-    """Basis of {x : x * mat = 0} over Z, via HNF of [mat | I]."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(nrows)] for i in range(nrows)]
-    # full elimination on the mat-part only, carrying the identity part along
-    h = _hnf_full(aug, ncols)
-    kernel = []
-    for row in h:
-        if all(x == 0 for x in row[:ncols]):
-            kernel.append(row[ncols:])
-    return kernel
-
-
-def _hnf_full(mat, lead_cols):
-    """Row reduction as in _hnf_rows but only pivoting on the first lead_cols
-    columns; returns all rows (zero-lead rows hold kernel data)."""
-    mat = [list(r) for r in mat]
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(lead_cols):
-        if pivot_row >= len(mat):
-            break
-        for r in range(pivot_row + 1, len(mat)):
-            while mat[r][col]:
-                a = mat[pivot_row][col]
-                if a == 0:
-                    mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
-                    continue
-                q = mat[r][col] // a
-                if q:
-                    for j in range(ncols):
-                        mat[r][j] -= q * mat[pivot_row][j]
-                if mat[r][col]:
-                    mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
-        if mat[pivot_row][col] == 0:
-            continue
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-x for x in mat[pivot_row]]
-        piv = mat[pivot_row][col]
-        for r in range(pivot_row):
-            q = mat[r][col] // piv
-            if q:
-                for j in range(ncols):
-                    mat[r][j] -= q * mat[pivot_row][j]
-        pivot_row += 1
-    return mat
-
-
-def basis_S(N):
-    """A canonical Z-basis of S at level N: m = floor(N/2) vectors in HNF with
-    positive pivots.  Every basis vector satisfies both congruences."""
+def _chain(N):
+    """The moduli c_k and the pivots h_k of the basis of S, as lists indexed
+    by k = 1..m (entry 0 unused); see basis_S."""
     if N < 4:
         raise ValueError("level N must be at least 4")
     m = N // 2
     M = _modulus2(N)
-    row1 = [1] * m + [12, 0]
-    row2 = [k * k for k in range(1, m + 1)] + [0, M]
-    # right kernel of the 2 x (m+2) matrix = left kernel of its transpose
-    transpose = [[row1[j], row2[j]] for j in range(m + 2)]
-    kernel = _left_kernel(transpose)
-    projected = [vec[:m] for vec in kernel]
-    rows = _hnf_rows(projected)
-    basis = [ExpVector(N, tuple(r)) for r in rows]
-    assert len(basis) == m, "kernel projection lost rank"
+    c = [0] * (m + 1)
+    h = [0] * (m + 1)
+    c[m] = _int_gcd(M, 12 * m * m)
+    h[m] = 12 * M // c[m]
+    for k in range(m - 1, 0, -1):
+        c[k] = _int_gcd(c[k + 1], 2 * k + 1)
+        h[k] = c[k + 1] // c[k]
+    return c, h
+
+
+def basis_S(N):
+    """The canonical Z-basis of S at level N: the rows of its Hermite normal
+    form, m = floor(N/2) upper-triangular vectors with positive pivots and
+    every entry above a pivot reduced into [0, pivot).
+
+    S is the kernel of phi(e) = (sum e(k) mod 12, sum k^2 e(k) mod M), with
+    M = N*gcd(N, 2).  The image of the columns k..m is the subgroup
+    {(u, v) : v = u*k^2 mod c_k} of Z/12 x Z/M, where c_m = gcd(M, 12 m^2)
+    and c_k = gcd(c_(k+1), 2k+1), because e_k - e_(k+1) maps to
+    (0, -(2k+1)).  So the pivot of row k is the index step
+    h_k = c_(k+1)/c_k, and h_m = 12M/c_m.  Row k is h_k e_k + sum x_j e_j
+    over the later columns j with h_j > 1.  With (u, v) the running phi of
+    the row, x_j must bring it into the image of the columns j+1..m:
+    (2j+1) x_j = v - u (j+1)^2 mod c_(j+1) for j < m, and x_m = -u mod 12
+    with m^2 x_m = -v mod M.  Each has a unique solution in [0, h_j), so
+    every entry is determined and the rows are the HNF.
+    """
+    c, h = _chain(N)
+    m = N // 2
+    M = _modulus2(N)
+    tail = [j for j in range(2, m + 1) if h[j] > 1]
+    basis = []
+    for k in range(1, m + 1):
+        row = [0] * m
+        row[k - 1] = h[k]
+        u, v = h[k], h[k] * k * k
+        for j in tail:
+            if j <= k:
+                continue
+            if j < m:
+                x = _solve(2 * j + 1, v - u * (j + 1) ** 2, c[j + 1])
+            else:
+                x = (12 * _solve(12 * m * m, u * m * m - v, M) - u) % h[m]
+            row[j - 1] = x
+            u, v = u + x, v + x * j * j
+        basis.append(ExpVector(N, tuple(row)))
+    assert len(basis) == m, "basis lost rank"
     assert all(is_in_S(e) for e in basis)
     return basis
 
 
 def lattice_index(N):
-    """The index [Z^m : S] = |det| of the canonical basis matrix (reported,
-    not asserted against any closed form)."""
-    basis = basis_S(N)
-    det = 1
-    for i, vec in enumerate(basis):
-        det *= vec.e[i]
-    return abs(det)
+    """The index [Z^m : S], the product of the pivots h_k of basis_S(N), read
+    from the c_k chain without building the rows.  The ledger map phi is
+    onto, so this is 12*N*gcd(N, 2)."""
+    return prod(_chain(N)[1][1:])
 
 
 # -- the generator dictionary --------------------------------------------------

@@ -8,6 +8,8 @@ product_series_by_powers, which composes the library's series arithmetic
 recurrence, which uses none of it.
 """
 
+from math import gcd
+
 from modunits.unit_lattice import ExpVector, is_in_S
 
 
@@ -144,6 +146,57 @@ def div_exact_rescan(f, g):
             else:
                 rem.pop(key, None)
     return BivarPoly(out)
+
+
+def hnf(rows, lead_cols):
+    """Row Hermite normal form by integer elimination, pivoting only on the
+    first lead_cols columns (Cohen, GTM 138, section 2.4): pivots positive,
+    entries above each pivot reduced into [0, pivot).  Returns every row; the
+    rows past the last pivot are zero on the lead columns."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivot_row = 0
+    for col in range(lead_cols):
+        if pivot_row >= len(mat):
+            break
+        for r in range(pivot_row + 1, len(mat)):
+            while mat[r][col]:
+                a = mat[pivot_row][col]
+                if a == 0:
+                    mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
+                    continue
+                q = mat[r][col] // a
+                if q:
+                    for j in range(ncols):
+                        mat[r][j] -= q * mat[pivot_row][j]
+                if mat[r][col]:
+                    mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
+        if mat[pivot_row][col] == 0:
+            continue
+        if mat[pivot_row][col] < 0:
+            mat[pivot_row] = [-x for x in mat[pivot_row]]
+        piv = mat[pivot_row][col]
+        for r in range(pivot_row):
+            q = mat[r][col] // piv
+            if q:
+                for j in range(ncols):
+                    mat[r][j] -= q * mat[pivot_row][j]
+        pivot_row += 1
+    return mat
+
+
+def basis_S_by_kernel(N):
+    """basis_S by elimination, as the reference for the closed form: S is the
+    projection to the first m coordinates of the integer kernel of the
+    2 x (m+2) matrix [1..1 12 0; 1 4 .. m^2 0 M].  The kernel is read off the
+    HNF of [transpose | I], then the projection is put in HNF."""
+    m = N // 2
+    M = N * gcd(N, 2)
+    cols = [(1, k * k) for k in range(1, m + 1)] + [(12, 0), (0, M)]
+    aug = [list(col) + [int(i == j) for j in range(m + 2)] for i, col in enumerate(cols)]
+    kernel = [row[2:] for row in hnf(aug, 2) if row[0] == row[1] == 0]
+    rows = hnf([vec[:m] for vec in kernel], m)
+    return [ExpVector(N, tuple(r)) for r in rows]
 
 
 def random_vector_in_S(rng, N, bound=5):

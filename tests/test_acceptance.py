@@ -23,6 +23,7 @@ from modunits.unit_lattice import (
     d_to_h,
     decompose_series,
     expand_p_expression,
+    lattice_index,
     leading_exponent_check,
     p_to_h,
     t_to_h,
@@ -280,3 +281,14 @@ def test_criterion_13_f24_divisor_path():
         rebuilt = rebuilt * cache.F(d)
     ok = ok and sign in (1, -1) and rebuilt == cache.P(24)
     _report(13, "F_24 by divisor path", ok, elapsed, budget=2)
+
+
+def test_criterion_14_basis_closed_form():
+    # the budget keeps elimination off this path: the O(m^3) HNF of the
+    # kernel took about 30 s over this range on a 2-core VM
+    start = time.monotonic()
+    ok = True
+    for N in range(4, 301):
+        basis = basis_S(N)
+        ok = ok and len(basis) == N // 2 and lattice_index(N) == 12 * N * int_gcd(N, 2)
+    _report(14, "basis and index 4..300", ok, time.monotonic() - start, budget=2)

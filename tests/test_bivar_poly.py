@@ -122,8 +122,9 @@ def test_gcd_coprimality_matches_resultant_oracle():
 
 
 def test_remove_common_examples():
-    from modunits.divpoly import DISCRIMINANT, P
+    from modunits.divpoly import DISCRIMINANT, DivPolyCache
 
+    P = DivPolyCache().P
     assert remove_common(P(6), [DISCRIMINANT] + [P(d) for d in range(2, 6)]) == (
         C ** 2 - B + C
     )

@@ -17,10 +17,7 @@ from modunits.divpoly import (
     _D_COFACTOR,
     DISCRIMINANT,
     DivPolyCache,
-    F,
     FactorizationIncomplete,
-    P,
-    discriminant,
 )
 
 # the printed tables, in factored form
@@ -46,17 +43,19 @@ F_TABLE = {
 
 
 def test_p_table():
+    cache = DivPolyCache()
     for n, expected in P_TABLE.items():
-        assert P(n) == expected, "P_%d" % n
+        assert cache.P(n) == expected, "P_%d" % n
 
 
 def test_f_table():
+    cache = DivPolyCache()
     for n, expected in F_TABLE.items():
-        assert F(n) == expected, "F_%d" % n
+        assert cache.F(n) == expected, "F_%d" % n
 
 
 def test_f2():
-    f2 = F(2)
+    f2 = DivPolyCache().F(2)
     assert f2.num == B
     assert f2.den == parse_poly(
         "C^4 - 8*B*C^2 - 3*C^3 + 16*B^2 - 20*B*C + 3*C^2 + B - C"
@@ -66,15 +65,15 @@ def test_f2():
 
 
 def test_oddness():
+    cache = DivPolyCache()
     for n in range(0, 13):
-        assert P(-n) == -P(n)
-    assert P(-3) == B ** 3
+        assert cache.P(-n) == -cache.P(n)
+    assert cache.P(-3) == B ** 3
 
 
 def test_discriminant_structure():
-    d = discriminant()
+    d = DISCRIMINANT
     assert d.coefficient(3, 4) == 1
-    assert d == DISCRIMINANT
     # N=5 and N=6 specialisations of D from the example tables
     c = B  # use the B slot as the univariate c
     assert d.compose(c, c) == c ** 5 * (c ** 2 - 11 * c - 1)
@@ -148,7 +147,7 @@ def test_f_guard_rejects_broken_structure():
     with pytest.raises(FactorizationIncomplete):
         cache.F(12)
     cache._P[12] = p12
-    assert cache.F(12) == F(12)
+    assert cache.F(12) == DivPolyCache().F(12)
 
 
 N5_TABLE = {
@@ -180,8 +179,9 @@ N6_TABLE = {
 
 def test_specialisation_table_n5():
     c = B
+    cache = DivPolyCache()
     for n, row in N5_TABLE.items():
-        got = P(n).compose(c, c)
+        got = cache.P(n).compose(c, c)
         if row is None:
             assert got == ZERO, "p_%d" % n
         else:
@@ -191,8 +191,9 @@ def test_specialisation_table_n5():
 
 def test_specialisation_table_n6():
     c = B
+    cache = DivPolyCache()
     for n, row in N6_TABLE.items():
-        got = P(n).compose(c * (c + 1), c)
+        got = cache.P(n).compose(c * (c + 1), c)
         if row is None:
             assert got == ZERO, "p_%d" % n
         else:
@@ -228,4 +229,4 @@ def test_range_guard():
 
 def test_f_needs_n_at_least_2():
     with pytest.raises(ValueError):
-        F(1)
+        DivPolyCache().F(1)

@@ -24,7 +24,7 @@ from modunits.unit_lattice import (
     to_p_expression,
     v_to_h,
 )
-from support import brute_force_membership, random_vector_in_S
+from support import basis_S_by_kernel, brute_force_membership, random_vector_in_S
 
 
 def test_is_in_S_examples():
@@ -68,7 +68,6 @@ def test_basis_n5_congruences_and_membership():
 
 
 def test_lattice_index_reported():
-    # reported but not asserted against any closed form; check consistency only
     for N in (5, 8, 12):
         idx = lattice_index(N)
         assert idx > 0
@@ -77,6 +76,26 @@ def test_lattice_index_reported():
         for i, vec in enumerate(basis):
             det *= vec.e[i]
         assert abs(det) == idx
+
+
+def test_basis_matches_elimination_oracle():
+    for N in range(4, 61):
+        assert basis_S(N) == basis_S_by_kernel(N), "N=%d" % N
+
+
+def test_basis_is_canonical_hnf():
+    for N in range(4, 301):
+        basis = basis_S(N)
+        rows = [vec.e for vec in basis]
+        assert len(rows) == N // 2
+        det = 1
+        for i, row in enumerate(rows):
+            assert not any(row[:i]), "row %d not upper triangular at N=%d" % (i, N)
+            assert row[i] > 0
+            det *= row[i]
+            assert all(0 <= rows[r][i] < row[i] for r in range(i)), "N=%d col %d" % (N, i)
+        assert all(is_in_S(vec) for vec in basis)
+        assert lattice_index(N) == det == 12 * N * int_gcd(N, 2), "N=%d" % N
 
 
 def test_dictionary_vectors_at_7():
