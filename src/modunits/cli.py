@@ -117,7 +117,7 @@ class PolyDiskCache:
 def _cmd_poly(args, out):
     kind = args.kind
     cache = PolyDiskCache(args.cache) if args.cache else None
-    divc = divpoly.DivPolyCache(max_n=args.max_n)
+    divc = divpoly.DivPolyCache()
     if kind == "D":
         poly = divpoly.DISCRIMINANT
     else:
@@ -226,19 +226,24 @@ def _ledger_report(N):
     return {"check": "ledger", "N": N, "precN": 0, "pass": ok}
 
 
-def _random_vector_in_S(rng, N, bound=5):
-    m = N // 2
-    while True:
-        vec = ExpVector(N, tuple(rng.randint(-bound, bound) for _ in range(m)))
-        if is_in_S(vec):
-            return vec
+def _random_vector_in_S(rng, basis, bound=5):
+    """A vector of S within h/2 of a draw from [-bound, bound] at each pivot h
+    of the upper-triangular basis: add the multiple of each row that lands
+    nearest its draw."""
+    vec = [0] * len(basis)
+    for k, row in enumerate(basis):
+        h = row.e[k]
+        x = (2 * (rng.randint(-bound, bound) - vec[k]) + h) // (2 * h)
+        vec = [v + x * r for v, r in zip(vec, row.e)]
+    return ExpVector(basis[0].N, tuple(vec))
 
 
 def _roundtrip_report(N, trials, seed, precN):
     rng = random.Random("%d:%d" % (seed, N))
+    basis = basis_S(N)
     ok = True
     for _ in range(trials):
-        vec = _random_vector_in_S(rng, N)
+        vec = _random_vector_in_S(rng, basis)
         sp = product_series(vec, max(precN, N // 2 + 2))
         ok = ok and decompose_series(sp.fstar, N) == vec
         back = unit_lattice.expand_p_expression(to_p_expression(vec))
@@ -320,7 +325,6 @@ def _build_parser():
     p_poly.add_argument("--n", type=int)
     p_poly.add_argument("--format", choices=["text", "json"], default="text")
     p_poly.add_argument("--cache", metavar="DIR")
-    p_poly.add_argument("--max-n", type=int, default=200, dest="max_n")
 
     p_series = sub.add_parser("series", help="reduced Siegel series at (k/N, 0)")
     p_series.add_argument("--k", type=int, required=True)

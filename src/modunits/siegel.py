@@ -16,7 +16,8 @@ with integer multiplicities m_x.  Its coefficients f_n (on the q^(1/N) grid)
 follow from the logarithmic derivative: q f'/f = sum_n a_n q^(n/N) with
 a_n = -sum_{x | n} x m_x, hence f_0 = 1 and n f_n = sum_{1<=j<=n} a_j f_{n-j}.
 Each (1 - q^x)^(+-1) has integer coefficients and constant term 1, so f_n is
-an integer and the division by n is exact.
+an integer and the division by n is exact.  h_star and product_series share
+this one recurrence; unit_lattice.decompose_series runs it backwards.
 """
 
 from __future__ import annotations
@@ -89,12 +90,29 @@ def h_star(k, N, precN):
     factor is 1 + O(q^(precN/N)), so the truncation is exact.
     """
     _check_index(k, N)
+    return _reduced_series(N, [(k, 1)], precN)
+
+
+def _reduced_series(N, powers, precN):
+    """The product of the reduced (k/N, 0) series to the powers e for (k, e) in
+    powers: prod_x (1 - q^(x/N))^m_x, by one pass of the recurrence in the
+    module docstring."""
     if precN < 1:
         raise ValueError("precN must be at least 1")
-    series = QSeries.one(N, precN)
-    for e in _factor_exponents(k, N, precN):
-        series = QSeries.from_terms(N, {0: 1, e: -1}, precN) * series
-    return series
+    mult = [0] * precN
+    for k, ek in powers:
+        for x in _factor_exponents(k, N, precN):
+            mult[x] += ek
+    a = [0] * precN
+    for x in range(1, precN):
+        if mult[x]:
+            ax = x * mult[x]
+            for n in range(x, precN, x):
+                a[n] -= ax
+    f = [1] * precN
+    for n in range(1, precN):
+        f[n] = sum(map(mul, a[1 : n + 1], f[n - 1 :: -1])) // n
+    return QSeries(N, 0, f, precN)
 
 
 def fold_index(n, N):
@@ -171,32 +189,11 @@ class SiegelProduct:
 
 def product_series(e, precN):
     """The product over k of the (k/N, 0) Siegel functions to the powers e(k),
-    as a SiegelProduct at the requested precision.
-
-    The reduced part is prod_x (1 - q^(x/N))^m_x, with m_x summed from the
-    factor exponents of every h_star(k) weighted by e(k); its coefficients come
-    from one pass of the integer recurrence n f_n = sum_j a_j f_{n-j} with
-    a_n = -sum_{x | n} x m_x (see the module docstring for why n divides).
+    as a SiegelProduct at the requested precision; the reduced part comes from
+    the one-pass recurrence that h_star uses.
     """
-    if precN < 1:
-        raise ValueError("precN must be at least 1")
     N = e.N
-    lead = Fraction(0)
-    mult = [0] * precN
-    for k, ek in enumerate(e.e, start=1):
-        if not ek:
-            continue
-        lead += ek * lead_exponent(k, N)
-        for x in _factor_exponents(k, N, precN):
-            mult[x] += ek
-    a = [0] * precN
-    for x in range(1, precN):
-        if mult[x]:
-            ax = x * mult[x]
-            for n in range(x, precN, x):
-                a[n] -= ax
-    f = [1] * precN
-    for n in range(1, precN):
-        f[n] = sum(map(mul, a[1 : n + 1], f[n - 1 :: -1])) // n
-    fstar = QSeries(N, 0, f, precN)
+    powers = [(k, ek) for k, ek in enumerate(e.e, start=1) if ek]
+    lead = sum((ek * lead_exponent(k, N) for k, ek in powers), Fraction(0))
+    fstar = _reduced_series(N, powers, precN)
     return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)

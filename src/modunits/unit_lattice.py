@@ -8,7 +8,7 @@ An integer exponent vector e lies in the group S exactly when
 and S is a full-rank sublattice of Z^m.  This module computes a canonical
 basis of S (Hermite normal form), converts between the {b, d, p_n} and Siegel
 generating sets in both directions, and decomposes reduced unit series into
-exponent vectors by the greedy coefficient scan.
+exponent vectors by the Siegel-product recurrence run backwards.
 
 The basis needs no elimination.  S is the kernel of the ledger map onto
 Z/12 x Z/M, M = N*gcd(N, 2), and the columns k..m map onto the subgroup
@@ -22,12 +22,11 @@ pivots multiply to [Z^m : S] = 12M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as _int_gcd
 from math import prod
 from typing import Tuple
 
-from .siegel import fold_index, h_star
+from .siegel import fold_index, product_series
 
 __all__ = [
     "ExpVector",
@@ -303,39 +302,31 @@ def to_p_expression(e):
 
 
 def expand_p_expression(p):
-    """Expand a PExpression back over the Siegel basis via the p_n and d
-    dictionaries.  Returns (sign, ExpVector); composing with to_p_expression
-    is the identity on S."""
+    """Expand a PExpression back over the Siegel basis.  With
+    p_n = t^(n^2-1) h_{(n/N,0)} / h_{(1/N,0)} and d = (t h_{(1/N,0)})^12, the
+    indexed powers fold in one pass and t enters once, to its total power.
+    Returns (sign, ExpVector); composing with to_p_expression is the identity
+    on S."""
     N = p.N
     m = N // 2
-    sign = 1
-    total = ExpVector.zero(N)
-    if p.alpha:
-        total = total + d_to_h(N).scale(p.alpha)
-    if p.beta:
-        s1, low = p_to_h(N - m - 1, N)
-        s2, high = p_to_h(m + 1, N)
-        total = total + (low - high).scale(p.beta)
-        if p.beta % 2:
-            sign *= s1 * s2
-    for k, ek in enumerate(p.pexp, start=1):
-        if not ek:
-            continue
-        s, vec = p_to_h(k, N)
-        total = total + vec.scale(ek)
-        if s < 0 and ek % 2:
-            sign = -sign
-    return sign, total
+    low, high = N - m - 1, m + 1
+    ones = 12 * p.alpha - sum(p.pexp)
+    tpow = 12 * p.alpha + p.beta * (low * low - high * high)
+    powers = [(k, ek) for k, ek in enumerate(p.pexp, start=1) if ek]
+    tpow += sum(ek * (k * k - 1) for k, ek in powers)
+    sign, vec = _fold_accumulate(N, [(1, ones), (low, p.beta), (high, -p.beta)] + powers)
+    return sign, vec + t_to_h(N).scale(tpow)
 
 
 def decompose_series(fstar, N):
     """Recover the exponent vector from the reduced form of a Siegel product.
 
-    The caller promises fstar is the reduced form of some product over the
-    basis; the greedy scan reads e(k) from the coefficient of q^(k/N) (halved
-    when 2k = N), divides the factor out, and finally checks that the residual
-    is exactly 1 on the tracked window.  A false promise surfaces as
-    NotAUnitProduct.
+    The reduced form is prod_x (1 - q^(x/N))^m_x with n f_n = sum_j a_j f_{n-j}
+    and a_n = -sum_{x | n} x m_x (see siegel).  Read backwards on n <= m, the
+    recurrence gives a_n, Moebius inversion gives m_n, and e(k) = m_k (halved
+    when 2k = N, where h_{(1/2,0)} has (1 - q^(1/2))^2).  Rebuilding the
+    product of e on the whole tracked window certifies it; a series that is
+    not such a product surfaces as NotAUnitProduct.
     """
     if fstar.denomN != N:
         raise ValueError("series must live on the q^(1/%d) grid" % N)
@@ -346,25 +337,22 @@ def decompose_series(fstar, N):
         )
     if fstar.is_zero or fstar.ord != 0 or fstar.coeff(0) != 1:
         raise NotAUnitProduct("series is not reduced (constant term 1)")
-    work = fstar
-    exps = []
-    for k in range(1, m + 1):
-        c = work.coeff(k)
-        if 2 * k == N:
-            ek = -Fraction(c) / 2
-        else:
-            ek = -Fraction(c)
-        if ek.denominator != 1:
-            raise NotAUnitProduct(
-                "coefficient at q^(%d/%d) is not consistent with an integral product" % (k, N)
-            )
-        ek = int(ek)
-        exps.append(ek)
-        if ek:
-            work = work * h_star(k, N, work.precN).pow_int(-ek)
-    if work.ord != 0 or work.coeff(0) != 1 or any(work.coeffs[1:]):
-        raise NotAUnitProduct("residual after the greedy scan is not 1")
-    return ExpVector(N, tuple(exps))
+    if not fstar.is_integral():
+        raise NotAUnitProduct("series has a non-integral coefficient")
+    f = fstar.coeffs
+    a = [0] * (m + 1)
+    mult = [0] * (m + 1)
+    for n in range(1, m + 1):
+        a[n] = n * f[n] - sum(a[j] * f[n - j] for j in range(1, n))
+        mult[n] = -(a[n] + sum(x * mult[x] for x in range(1, n) if n % x == 0)) // n
+    if N % 2 == 0:
+        mult[m] //= 2
+    # a floored division above (m_n not integral, or odd at q^(1/2)) yields a
+    # vector whose product differs from fstar below q^((m+1)/N)
+    e = ExpVector(N, tuple(mult[1:]))
+    if product_series(e, fstar.precN).fstar != fstar:
+        raise NotAUnitProduct("series is not the product of an integral exponent vector")
+    return e
 
 
 def leading_exponent_check(e):

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive (dense lists, no precision tracking, no
 reuse of the library's arithmetic kernels) so that derived expected values are
-computed along a different path than the code under test.  The exception is
-product_series_by_powers, which composes the library's series arithmetic
-(h_star, pow_int, inv) as the reference for product_series' one-pass
-recurrence, which uses none of it.
+computed along a different path than the code under test.  The exceptions
+compose the library's series arithmetic (h_star, pow_int, inv) or its
+dictionary vectors (t_to_h, d_to_h, p_to_h): product_series_by_powers and
+decompose_series_greedy, the references for the one-pass recurrence in both
+directions, and expand_p_expression_by_vectors, the reference for the
+one-pass fold.
 """
 
 from math import gcd
@@ -73,6 +75,67 @@ def product_series_by_powers(e, precN):
         lead += ek * lead_exponent(k, N)
         fstar = fstar * h_star(k, N, precN).pow_int(ek)
     return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)
+
+
+def decompose_series_greedy(fstar, N):
+    """decompose_series by the greedy coefficient scan: read e(k) from the
+    coefficient of q^(k/N) (halved when 2k = N), divide h_star(k)^e(k) out,
+    and require the residual to be exactly 1 on the tracked window."""
+    from fractions import Fraction
+
+    from modunits.siegel import h_star
+    from modunits.unit_lattice import InsufficientPrecision, NotAUnitProduct
+
+    if fstar.denomN != N:
+        raise ValueError("series must live on the q^(1/%d) grid" % N)
+    m = N // 2
+    if fstar.precN < m + 1:
+        raise InsufficientPrecision(
+            "need precision at least %d, have %d" % (m + 1, fstar.precN)
+        )
+    if fstar.is_zero or fstar.ord != 0 or fstar.coeff(0) != 1:
+        raise NotAUnitProduct("series is not reduced (constant term 1)")
+    work = fstar
+    exps = []
+    for k in range(1, m + 1):
+        c = work.coeff(k)
+        ek = -Fraction(c) / 2 if 2 * k == N else -Fraction(c)
+        if ek.denominator != 1:
+            raise NotAUnitProduct("coefficient at q^(%d/%d) is not integral" % (k, N))
+        ek = int(ek)
+        exps.append(ek)
+        if ek:
+            work = work * h_star(k, N, work.precN).pow_int(-ek)
+    if work.ord != 0 or work.coeff(0) != 1 or any(work.coeffs[1:]):
+        raise NotAUnitProduct("residual after the greedy scan is not 1")
+    return ExpVector(N, tuple(exps))
+
+
+def expand_p_expression_by_vectors(p):
+    """expand_p_expression by adding up the dictionary vectors of d and of
+    every p_n, each scaled by its exponent, with the signs of the folds."""
+    from modunits.unit_lattice import d_to_h, p_to_h
+
+    N = p.N
+    m = N // 2
+    sign = 1
+    total = ExpVector.zero(N)
+    if p.alpha:
+        total = total + d_to_h(N).scale(p.alpha)
+    if p.beta:
+        s1, low = p_to_h(N - m - 1, N)
+        s2, high = p_to_h(m + 1, N)
+        total = total + (low - high).scale(p.beta)
+        if p.beta % 2:
+            sign *= s1 * s2
+    for k, ek in enumerate(p.pexp, start=1):
+        if not ek:
+            continue
+        s, vec = p_to_h(k, N)
+        total = total + vec.scale(ek)
+        if s < 0 and ek % 2:
+            sign = -sign
+    return sign, total
 
 
 def sylvester_resultant_in_C(f, g):

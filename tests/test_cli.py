@@ -53,6 +53,13 @@ def test_poly_usage_errors():
     assert code == 2
 
 
+def test_poly_guard_rejects_large_n(capsys):
+    assert run_cli("poly", "P", "--n", "201") == (2, "")
+    assert "n=201 exceeds the guard max_n=200" in capsys.readouterr().err
+    code, _ = run_cli("poly", "P", "--n", "4", "--max-n", "300")
+    assert code == 2
+
+
 def test_series_command():
     code, text = run_cli("series", "--k", "1", "--N", "5", "--prec", "4")
     assert code == 0
@@ -167,6 +174,40 @@ def test_verify_stdout_pinned():
     code, text = run_cli("verify", "--N", "4..10", "--trials", "2", "--seed", "9")
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_4_10_SHA256
+
+
+def test_random_vector_in_S_lands_near_the_box():
+    import random
+
+    from modunits.unit_lattice import basis_S, is_in_S
+
+    rng = random.Random(7)
+    for N in range(4, 41):
+        basis = basis_S(N)
+        for _ in range(20):
+            vec = cli._random_vector_in_S(rng, basis)
+            assert is_in_S(vec), vec
+            for k, ek in enumerate(vec.e):
+                h = basis[k].e[k]
+                assert -5 - h / 2 < ek <= 5 + h / 2, (N, k + 1, vec)
+
+
+def test_h_star_cache_untouched_off_the_series_command():
+    from modunits.siegel import h_star, product_series
+    from modunits.unit_lattice import (
+        basis_S,
+        decompose_series,
+        expand_p_expression,
+        to_p_expression,
+    )
+
+    h_star.cache_clear()
+    code, _ = run_cli("verify", "--N", "4..8", "--trials", "2")
+    assert code == 0
+    vec = basis_S(8)[0] - basis_S(8)[2]
+    assert decompose_series(product_series(vec, 6).fstar, 8) == vec
+    assert expand_p_expression(to_p_expression(vec)) == (1, vec)
+    assert h_star.cache_info().currsize == 0
 
 
 def test_verify_empty_window_does_not_pass():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd as int_gcd
 
 import pytest
@@ -24,7 +25,13 @@ from modunits.unit_lattice import (
     to_p_expression,
     v_to_h,
 )
-from support import basis_S_by_kernel, brute_force_membership, random_vector_in_S
+from support import (
+    basis_S_by_kernel,
+    brute_force_membership,
+    decompose_series_greedy,
+    expand_p_expression_by_vectors,
+    random_vector_in_S,
+)
 
 
 def test_is_in_S_examples():
@@ -252,3 +259,48 @@ def test_exp_vector_validation():
         ExpVector(7, (1, 2))
     with pytest.raises(ValueError):
         ExpVector(3, (1,))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotAUnitProduct:
+        return NotAUnitProduct
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(4, 30),
+    st.data(),
+    st.sampled_from(["clean", "perturb", "fraction", "odd_half"]),
+)
+def test_decompose_matches_greedy_oracle(N, data, kind):
+    m = N // 2
+    vec = ExpVector(N, tuple(data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))))
+    precN = data.draw(st.sampled_from([m + 1, m + 2, 2 * N, 5 * N]))
+    coeffs = list(product_series(vec, precN).fstar.coeffs)
+    if kind == "perturb":
+        coeffs[data.draw(st.integers(1, precN - 1))] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    elif kind == "fraction":
+        coeffs[data.draw(st.integers(1, precN - 1))] += Fraction(1, 2)
+    elif kind == "odd_half" and N % 2 == 0:
+        # an odd multiplicity of (1 - q^(1/2)), which no integral product has
+        coeffs[m] += 1
+    fstar = QSeries(N, 0, coeffs, precN)
+    got = _outcome(decompose_series, fstar, N)
+    assert got == _outcome(decompose_series_greedy, fstar, N)
+    if kind == "clean":
+        assert got == vec
+    elif kind == "fraction" or kind == "odd_half" and N % 2 == 0:
+        assert got is NotAUnitProduct
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 60), st.integers(-30, 30), st.integers(-30, 30), st.data())
+def test_expand_p_expression_matches_vector_oracle(N, alpha, beta, data):
+    # arbitrary exponents, over indices that may fold with a sign; p_n is the
+    # zero function at n = 0 mod N, so those indices carry exponent 0
+    pexp = data.draw(st.lists(st.integers(-9, 9), max_size=3 * N))
+    pexp = tuple(0 if k % N == 0 else ek for k, ek in enumerate(pexp, start=1))
+    p = PExpression(N, alpha, beta, pexp)
+    assert expand_p_expression(p) == expand_p_expression_by_vectors(p)
