@@ -5,6 +5,12 @@ b and c are recovered from the Siegel side through p_2 = -b and p_4 = c b^5;
 d is the series of (t h_{(1/N,0)})^12.  The checks verify, to the tracked
 precision, that F_N(b, c) vanishes, that P_n(b, c) agrees with the p_n series
 coming from the exponent dictionary, and that D(b, c) agrees with d.
+
+Polynomials are evaluated by Horner in C.  The p_n check evaluates P_n only
+for n <= 4.  For n >= 5 it checks that the p_n series satisfy the
+division-polynomial recurrence that builds P_n (divpoly.DivPolyCache), each
+side one Siegel product; by induction on n this is equivalent to
+P_n(b, c) = p_n, without the powers of b up to deg_B P_n.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from . import divpoly
 from .qseries import QSeries
 from .siegel import product_series
-from .unit_lattice import d_to_h, p_to_h, v_to_h
+from .unit_lattice import ExpVector, d_to_h, p_to_h, v_to_h
 
 __all__ = [
     "PhaseNotRational",
@@ -55,11 +61,15 @@ class CurveExpansion:
         s2, vec2 = p_to_h(2, N)
         self._pcache[2] = _resolve(s2, product_series(vec2, precN))
         self.b = -self._pcache[2]
-        p4 = self.p(4)
-        self.c = p4 * self.b.pow_int(-5)
+        if N == 4:
+            # p_4 is the zero series at level 4, and so is c
+            self.c = self.p(4) * self.b.pow_int(-5)
+        else:
+            # c = p_4 / b^5 = -p_4 / p_2^5, one Siegel product
+            s4, vec4 = p_to_h(4, N)
+            self.c = _resolve(-s4 * s2, product_series(vec4 - vec2.scale(5), precN))
         self.d = _resolve(1, product_series(d_to_h(N), precN))
-        self._bpows = {0: QSeries.one(N, precN), 1: self.b}
-        self._cpows = {0: QSeries.one(N, precN), 1: self.c}
+        self._bpows = [QSeries.one(N, precN), self.b]
 
     def p(self, n):
         """The p_n series (zero to precision when n = 0 mod N)."""
@@ -72,31 +82,39 @@ class CurveExpansion:
                 self._pcache[n] = _resolve(sign, product_series(vec, self.precN))
         return self._pcache[n]
 
-    def _pow(self, cache, base, k):
-        while k not in cache:
-            top = max(cache)
-            cache[top + 1] = cache[top] * base
-        return cache[k]
+    def _bpow(self, i):
+        while len(self._bpows) <= i:
+            self._bpows.append(self._bpows[-1] * self.b)
+        return self._bpows[i]
 
     def eval_poly(self, f):
-        """Evaluate a polynomial in B, C at (b-series, c-series)."""
+        """Evaluate a polynomial in B, C at (b-series, c-series), by Horner in C:
+        each row sum_i a_ij B^i is a scalar combination of the cached b^i, and
+        the rows are folded with deg_C products by c."""
         if f.is_zero:
             return QSeries.zero(self.N, self.precN)
+        rows = {}
+        for (i, j), coeff in f.terms.items():
+            rows.setdefault(j, []).append((coeff, self._bpow(i)))
         acc = None
-        for (i, j), coeff in sorted(f.terms.items()):
-            if i and j:
-                term = self._pow(self._bpows, self.b, i) * self._pow(
-                    self._cpows, self.c, j
-                )
-            elif i:
-                term = self._pow(self._bpows, self.b, i)
-            elif j:
-                term = self._pow(self._cpows, self.c, j)
-            else:
-                term = QSeries.one(self.N, self.precN)
-            term = term * coeff
-            acc = term if acc is None else acc + term
+        for j in range(max(rows), -1, -1):
+            if acc is not None:
+                acc = acc * self.c
+            if j in rows:
+                row = _combination(rows[j])
+                acc = row if acc is None else acc + row
         return acc
+
+
+def _combination(terms):
+    """sum coeff * s over the (coeff, series) pairs, tracked like repeated +."""
+    precN = min(s.precN for _, s in terms)
+    lo = min([precN] + [s.ord for _, s in terms if s.coeffs])
+    out = [0] * (precN - lo)
+    for coeff, s in terms:
+        for n, x in enumerate(s.coeffs[: max(0, precN - s.ord)], start=s.ord - lo):
+            out[n] += coeff * x
+    return QSeries(terms[0][1].denomN, lo, out, precN)
 
 
 def expand_curve(N, precN=None, divcache=None):
@@ -137,10 +155,60 @@ def check_defining_equation(N, precN=None):
     return defining_equation_report(N, precN)["pass"]
 
 
+def _p_monomial(N, precN, powers):
+    """prod p_k^r over the (k, r) items of powers, as one Siegel product of
+    sum r*vec_k with sign prod s_k^(r mod 2); None when a factor p_k with
+    k = 0 mod N (the zero series) occurs."""
+    sign, e = 1, [0] * (N // 2)
+    for k, r in powers.items():
+        if not r:
+            continue
+        folded = p_to_h(k, N)
+        if folded is None:
+            return None
+        s, vec = folded
+        if r % 2:
+            sign *= s
+        for i, x in enumerate(vec.e):
+            e[i] += r * x
+    return _resolve(sign, product_series(ExpVector(N, e), precN))
+
+
+def _recurrence_series(expansion, n):
+    """p_n rebuilt from p_1..p_{n-1} by the division-polynomial recurrence,
+    n >= 5: u - v with u = p_{l+2} p_l^3, v = p_{l+1}^3 p_{l-1} for n = 2l+1,
+    and u = p_l p_{l+2} p_{l-1}^2 / p_2, v = p_l p_{l-2} p_{l+1}^2 / p_2 for
+    n = 2l.  A monomial with a zero factor is dropped."""
+    l = n // 2
+    if n % 2:
+        monomials = ({l + 2: 1, l: 3}, {l + 1: 3, l - 1: 1})
+    else:
+        monomials = ({l: 1, l + 2: 1, l - 1: 2}, {l: 1, l - 2: 1, l + 1: 2})
+        for powers in monomials:
+            # l - 1 or l - 2 can be 2 itself
+            powers[2] = powers.get(2, 0) - 1
+    u, v = (_p_monomial(expansion.N, expansion.precN, pw) for pw in monomials)
+    terms = [(sign, mono) for sign, mono in ((1, u), (-1, v)) if mono is not None]
+    if not terms:
+        return QSeries.zero(expansion.N, expansion.p(n).precN)
+    return _combination(terms)
+
+
 def p_consistency_report(N, n, precN=None, expansion=None):
-    """P_n(b, c) agrees with the p_n series (vanishes when n = 0 mod N)."""
+    """P_n(b, c) agrees with the p_n series (vanishes when n = 0 mod N).
+
+    n <= 4 is checked by evaluating P_n at (b, c).  For n >= 5 the p_n series
+    is compared with the division-polynomial recurrence applied to the
+    p_1..p_{n-1} series; since P_n is built by that same recurrence, this is
+    equivalent to P_n(b, c) = p_n once the lower indices are checked.
+    """
     if expansion is None:
         expansion = expand_curve(N, precN)
+    if n >= 5:
+        return _agreement_report(
+            "p_consistency", N, expansion.precN, expansion.p(n),
+            _recurrence_series(expansion, n), n=n,
+        )
     lhs = expansion.eval_poly(expansion.divcache.P(n))
     if n % N == 0:
         return _vanishing_report("p_consistency", N, expansion.precN, lhs, n=n)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import mul
 
 __all__ = ["QSeries", "ZeroSeries"]
 
@@ -192,16 +193,9 @@ class QSeries:
         gord = g.ord if g.coeffs else g.precN
         precN = min(f.precN + gord, g.precN + ford)
         ord_ = ford + gord
-        L = precN - ord_
-        out = [0] * L
-        for i, a in enumerate(f.coeffs):
-            if not a:
-                continue
-            jmax = min(len(g.coeffs), L - i)
-            for j in range(jmax):
-                b = g.coeffs[j]
-                if b:
-                    out[i + j] += a * b
+        # the window is min(len(f), len(g)) long, so every k needs f[0..k], g[k..0]
+        fc, gc = f.coeffs, g.coeffs
+        out = [sum(map(mul, fc[: k + 1], gc[k::-1])) for k in range(precN - ord_)]
         return QSeries(self.denomN, ord_, out, precN)
 
     __rmul__ = __mul__

@@ -173,6 +173,9 @@ class SiegelProduct:
             )
         shift = int(shift)
         scale = self.scalar if self.ipow == 0 else -self.scalar
+        if scale.denominator == 1:
+            # an int scale keeps int coefficients int (no Fraction round trip)
+            scale = scale.numerator
         coeffs = [scale * c for c in self.fstar.coeffs]
         return QSeries(
             self.N, self.fstar.ord + shift, coeffs, self.fstar.precN + shift

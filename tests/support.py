@@ -3,11 +3,12 @@
 Everything here is deliberately naive (dense lists, no precision tracking, no
 reuse of the library's arithmetic kernels) so that derived expected values are
 computed along a different path than the code under test.  The exceptions
-compose the library's series arithmetic (h_star, pow_int, inv) or its
-dictionary vectors (t_to_h, d_to_h, p_to_h): product_series_by_powers and
-decompose_series_greedy, the references for the one-pass recurrence in both
-directions, and expand_p_expression_by_vectors, the reference for the
-one-pass fold.
+compose the library's series arithmetic (h_star, pow_int, inv, QSeries
+products) or its dictionary vectors (t_to_h, d_to_h, p_to_h):
+product_series_by_powers and decompose_series_greedy, the references for the
+one-pass recurrence in both directions, expand_p_expression_by_vectors, the
+reference for the one-pass fold, and eval_poly_by_terms, the reference for
+the Horner evaluation and for the recurrence check of p_n.
 """
 
 from math import gcd
@@ -75,6 +76,40 @@ def product_series_by_powers(e, precN):
         lead += ek * lead_exponent(k, N)
         fstar = fstar * h_star(k, N, precN).pow_int(ek)
     return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)
+
+
+def eval_poly_by_terms(expansion, f, pows=None):
+    """CurveExpansion.eval_poly term by term: every monomial b^i c^j from the
+    powers of b and c climbed one product at a time, scaled and summed.  Pass
+    the same dict as pows to reuse the powers across calls at one level."""
+    from modunits.qseries import QSeries
+
+    N, precN = expansion.N, expansion.precN
+    if f.is_zero:
+        return QSeries.zero(N, precN)
+    if pows is None:
+        pows = {}
+
+    def power(base, k):
+        cache = pows.setdefault(id(base), {0: QSeries.one(N, precN), 1: base})
+        while k not in cache:
+            top = max(cache)
+            cache[top + 1] = cache[top] * base
+        return cache[k]
+
+    acc = None
+    for (i, j), coeff in sorted(f.terms.items()):
+        if i and j:
+            term = power(expansion.b, i) * power(expansion.c, j)
+        elif i:
+            term = power(expansion.b, i)
+        elif j:
+            term = power(expansion.c, j)
+        else:
+            term = QSeries.one(N, precN)
+        term = term * coeff
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def decompose_series_greedy(fstar, N):

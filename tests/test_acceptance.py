@@ -4,10 +4,13 @@ Run with `pytest tests/test_acceptance.py -s -v` to see the per-criterion
 lines and timings.
 """
 
+import io
+import json
 import random
 import time
 from math import gcd as int_gcd
 
+from modunits import cli
 from modunits.bivar_poly import B, C, ONE, render_poly, render_rat
 from modunits.curve_series import (
     defining_equation_report,
@@ -292,3 +295,13 @@ def test_criterion_14_basis_closed_form():
         basis = basis_S(N)
         ok = ok and len(basis) == N // 2 and lattice_index(N) == 12 * N * int_gcd(N, 2)
     _report(14, "basis and index 4..300", ok, time.monotonic() - start, budget=2)
+
+
+def test_criterion_15_verify_level_30():
+    # the budget keeps the b-power tower off the p_n checks: evaluating P_n
+    # term by term took about 15 s at this level on a 2-core VM
+    start = time.monotonic()
+    out = io.StringIO()
+    code = cli.main(["verify", "--N", "30", "--trials", "2"], out=out)
+    ok = code == 0 and json.loads(out.getvalue())["pass"]
+    _report(15, "verify level 30", ok, time.monotonic() - start, budget=8)

@@ -1,10 +1,16 @@
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modunits.bivar_poly import B, C
+from modunits.bivar_poly import B, C, BivarPoly
 from modunits.curve_series import (
     CurveExpansion,
+    _agreement_report,
+    _combination,
+    _recurrence_series,
+    _vanishing_report,
     check_d_consistency,
     check_defining_equation,
     check_p_consistency,
@@ -14,6 +20,9 @@ from modunits.curve_series import (
     express2_series_report,
     p_consistency_report,
 )
+from modunits.divpoly import DISCRIMINANT
+from modunits.qseries import QSeries
+from support import eval_poly_by_terms
 
 
 @lru_cache(maxsize=None)
@@ -114,3 +123,99 @@ def test_expansion_validation():
         expand_curve(3, 10)
     with pytest.raises(ValueError):
         CurveExpansion(5, 0)
+
+
+def _window(lhs, rhs):
+    return min(lhs.precN, rhs.precN) - min(0, lhs.ord, rhs.ord)
+
+
+def test_eval_poly_horner_matches_term_evaluation():
+    # P_1..P_{m+2}, F_N and D, as verify evaluates them
+    for N in range(4, 15):
+        exp = _expansion(N, 15 * N)
+        pows = {}
+        polys = [exp.divcache.P(n) for n in range(1, N // 2 + 3)]
+        polys += [exp.divcache.F(N), DISCRIMINANT]
+        for f in polys:
+            got = exp.eval_poly(f)
+            want = eval_poly_by_terms(exp, f, pows)
+            assert got.first_difference(want) is None, (N, f)
+            assert got.precN >= want.precN, (N, f)
+
+
+small_poly_st = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 4)), st.integers(-9, 9), max_size=8
+).map(BivarPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 9), st.integers(1, 40), small_poly_st)
+def test_eval_poly_horner_matches_terms_on_random_polys(N, precN, f):
+    exp = _expansion(N, precN)
+    got = exp.eval_poly(f)
+    want = eval_poly_by_terms(exp, f)
+    assert got.first_difference(want) is None
+    assert got.precN >= want.precN
+
+
+series_st = st.tuples(
+    st.integers(-4, 6), st.lists(st.integers(-5, 5), min_size=0, max_size=8)
+).map(lambda t: QSeries(5, t[0], t[1], t[0] + len(t[1])))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.integers(-9, 9).filter(bool), series_st), min_size=1, max_size=4))
+def test_combination_matches_repeated_addition(terms):
+    want = terms[0][1] * terms[0][0]
+    for coeff, s in terms[1:]:
+        want = want + s * coeff
+    assert _combination(terms) == want
+
+
+@pytest.mark.parametrize("N", range(4, 15))
+def test_recurrence_reports_match_term_evaluation(N):
+    # the recurrence check gives the report that evaluating P_n gives, on a
+    # window no smaller, through the zero indices n = 0 mod N up to 3N
+    exp = expand_curve(N, 2 * N)
+    pows = {}
+    for n in range(1, 3 * N + 1):
+        value = eval_poly_by_terms(exp, exp.divcache.P(n), pows)
+        if n % N == 0:
+            want = _vanishing_report("p_consistency", N, exp.precN, value, n=n)
+        else:
+            want = _agreement_report("p_consistency", N, exp.precN, value, exp.p(n), n=n)
+        assert p_consistency_report(N, n, expansion=exp) == want, n
+        if n >= 5:
+            rhs = _recurrence_series(exp, n)
+            assert _window(exp.p(n), rhs) >= _window(exp.p(n), value), n
+
+
+def test_recurrence_window_at_verify_precision():
+    for N in range(5, 15):
+        exp = _expansion(N, 15 * N)
+        for n in range(5, N // 2 + 3):
+            rhs = _recurrence_series(exp, n)
+            value = eval_poly_by_terms(exp, exp.divcache.P(n))
+            assert _window(exp.p(n), rhs) >= _window(exp.p(n), value), (N, n)
+
+
+def test_p_consistency_fails_on_perturbed_series():
+    for N, n in ((7, 5), (9, 6), (10, 8), (11, 7), (6, 6), (5, 10)):
+        exp = expand_curve(N, 6 * N)
+        assert p_consistency_report(N, n, expansion=exp)["pass"]
+        good = exp.p(n)
+        # one coefficient inside the compared window, above the leading term
+        e = (good.ord if good.coeffs else 0) + 2
+        terms = {k: good.coeff(k) for k in range(good.ord, good.precN)}
+        terms[e] = terms.get(e, 0) + 1
+        exp._pcache[n] = QSeries.from_terms(N, terms, good.precN)
+        report = p_consistency_report(N, n, expansion=exp)
+        assert not report["pass"], (N, n)
+        assert report["firstFailingExponent"] == str(Fraction(e, N)), (N, n)
+
+
+def test_c_is_one_siegel_product():
+    # c = -p_4 / p_2^5 as one product equals p_4 * b^-5 by series arithmetic
+    for N in range(5, 41):
+        exp = _expansion(N, 15 * N)
+        assert exp.c == exp.p(4) * exp.b.pow_int(-5), N

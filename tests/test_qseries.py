@@ -186,3 +186,34 @@ def test_bounded_denominator_corollary_cases():
     a = QSeries(1, 0, [1, 3, -2, 7], 4)
     b = QSeries(1, 0, [1, -5, 0, 2], 4)
     assert (a * b).is_integral()
+
+
+# the product kernel against the schoolbook oracle: int and Fraction
+# coefficients, zero series, unequal lengths and negative ords
+coeff_st = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+mixed_series_st = st.tuples(
+    st.integers(-6, 6),
+    st.one_of(
+        st.lists(coeff_st, max_size=12),
+        st.lists(st.just(0), min_size=1, max_size=5),
+    ),
+).map(lambda t: QSeries(3, t[0], t[1], t[0] + len(t[1])))
+
+
+def _schoolbook_mul(f, g):
+    ford = f.ord if f.coeffs else f.precN
+    gord = g.ord if g.coeffs else g.precN
+    precN = min(f.precN + gord, g.precN + ford)
+    cap = precN - ford - gord
+    return QSeries(f.denomN, ford + gord, dense_mul(list(f.coeffs), list(g.coeffs), cap), precN)
+
+
+@settings(max_examples=150)
+@given(mixed_series_st, mixed_series_st)
+def test_mul_matches_schoolbook_oracle(f, g):
+    prod = f * g
+    assert prod == _schoolbook_mul(f, g)
+    assert all(isinstance(c, int) or c.denominator != 1 for c in prod.coeffs)

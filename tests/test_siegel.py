@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from modunits.qseries import QSeries
 from modunits.siegel import (
     BadIndex,
+    SiegelProduct,
     ZeroIndexError,
     fold_index,
     h_star,
@@ -212,3 +213,21 @@ def test_product_series_rejects_non_positive_precision():
         for precN in (0, -3):
             with pytest.raises(ValueError):
                 product_series(vec, precN)
+
+
+def test_to_qseries_keeps_int_coefficients():
+    # an integral scale multiplies the int coefficients as ints; the series is
+    # the one the Fraction products give
+    for N, vec in ((7, d_to_h(7)), (11, p_to_h(6, 11)[1]), (10, p_to_h(4, 10)[1])):
+        sp = product_series(vec, 4 * N)
+        shift = sp.leadExp * N
+        for ipow, scalar in ((0, Fraction(1)), (2, Fraction(1)), (0, Fraction(-3)),
+                             (2, Fraction(5, 2))):
+            scaled = SiegelProduct(N, ipow, scalar, sp.leadExp, sp.fstar)
+            qs = scaled.to_qseries()
+            scale = scalar if ipow == 0 else -scalar
+            want = QSeries(N, int(shift), [scale * c for c in sp.fstar.coeffs],
+                           sp.fstar.precN + int(shift))
+            assert qs == want
+            if scale.denominator == 1:
+                assert all(type(c) is int for c in qs.coeffs)
