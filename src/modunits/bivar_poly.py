@@ -5,6 +5,14 @@ precision integers.  Serialisation orders terms by total degree, then by the
 exponent of B, descending (the layout used in the classical tables for the
 X1(n) defining polynomials).  Sign normalisation "up to Q*" makes the leading
 coefficient positive under graded lex with C > B.
+
+Products have two paths behind the one operator.  Small ones, and sparse ones
+spread over a wide degree range, add up the product of every pair of terms in
+a dict.  Large dense ones go through Kronecker substitution (Harvey,
+arXiv:0712.4046): both factors are packed into integers, one slot per
+monomial, sheared so that the slot counts total degree and then the degree in
+C; one big-integer product does the work and the slots are read back.  The
+cutoff between the two is a measured constant (_KRONECKER_MIN_PAIRS).
 """
 
 from __future__ import annotations
@@ -177,6 +185,9 @@ class BivarPoly:
             return BivarPoly({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, BivarPoly):
             return NotImplemented
+        pairs = len(self.terms) * len(other.terms)
+        if pairs >= _KRONECKER_MIN_PAIRS and 2 * _kronecker_slots(self, other)[2] <= pairs:
+            return _mul_kronecker(self, other)
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -292,6 +303,88 @@ def div_exact(f, g):
             else:
                 rem[key] = v - q * c
     return _from_clean(out)
+
+
+# -- Kronecker product --------------------------------------------------------
+
+# BivarPoly.__mul__ takes the Kronecker path for products of at least this many
+# term pairs whose packed form has at most one slot per two pairs.  Measured
+# against the dict loop (py3.11, 2 cores), the Kronecker path runs at 0.2x its
+# speed at 4 x 3 terms, breaks even near 500 pairs on division-polynomial
+# operands and near one slot per two pairs on random sparse ones, and runs at
+# 2x at 40 x 34 terms (P_17 * P_16) and 7x at 904 x 717 (P_35 * P_33).
+_KRONECKER_MIN_PAIRS = 500
+
+
+def _total_degree_range(f):
+    sums = [i + j for i, j in f.terms]
+    return min(sums), max(sums)
+
+
+def _kronecker_slots(f, g):
+    """(lowest total degree of f, of g, slots of the packed product f * g)."""
+    flo, fhi = _total_degree_range(f)
+    glo, ghi = _total_degree_range(g)
+    return flo, glo, (fhi - flo + ghi - glo + 1) * (f.deg_C + g.deg_C + 1)
+
+
+def _mul_kronecker(f, g):
+    """f * g by one big-integer product (Kronecker substitution).
+
+    The term c*B^i*C^j goes to the slot (i + j - s)*W + j of an integer in
+    base 2^(8k), with s the lowest total degree of its factor and
+    W = deg_C f + deg_C g + 1.  Slot indices add like the pair (total degree,
+    degC), and every degC of the product is below W, so distinct monomials of
+    the product land in distinct slots.  Sheared by the total degree, the
+    packed integers are as long as the polynomials' total-degree span times W,
+    which for P_n is far shorter than its B-degree times W.  A slot holds
+    k bytes, enough for max|f| * max|g| * min(#f, #g) plus a sign bit, which
+    bounds every coefficient of the product.
+    """
+    if not f.terms or not g.terms:
+        return ZERO
+    fs, gs, slots = _kronecker_slots(f, g)
+    width = f.deg_C + g.deg_C + 1
+    bound = (
+        max(map(abs, f.terms.values()))
+        * max(map(abs, g.terms.values()))
+        * min(len(f.terms), len(g.terms))
+    )
+    k = bound.bit_length() // 8 + 1
+    fpacked = _kronecker_pack(f, fs, width, k)
+    gpacked = fpacked if g is f else _kronecker_pack(g, gs, width, k)
+    # adding 2^(8k-1) to every slot makes each one a nonnegative k-byte digit
+    half = 1 << (8 * k - 1)
+    zero = half.to_bytes(k, "little")
+    data = (fpacked * gpacked + int.from_bytes(zero * slots, "little")).to_bytes(
+        slots * k, "little"
+    )
+    out = {}
+    low = fs + gs
+    at = 0
+    for t in range(slots):
+        digit = data[at : at + k]
+        if digit != zero:
+            s, j = divmod(t, width)
+            out[(low + s - j, j)] = int.from_bytes(digit, "little") - half
+        at += k
+    return _from_clean(out)
+
+
+def _kronecker_pack(f, s, width, k):
+    """The integer sum of c * 2^(8k((i + j - s)*W + j)) over the terms of f,
+    with W = width, built as the difference of two byte strings: one of the
+    positive and one of the negative coefficients."""
+    size = (f.total_degree - s + 1) * width * k
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for (i, j), c in f.terms.items():
+        at = ((i + j - s) * width + j) * k
+        if c > 0:
+            pos[at : at + k] = c.to_bytes(k, "little")
+        else:
+            neg[at : at + k] = (-c).to_bytes(k, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _from_clean(terms):

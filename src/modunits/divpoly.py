@@ -2,7 +2,11 @@
 
 P_n is the n-division polynomial of the curve
 Y^2 + (1-C)XY - BY = X^3 - BX^2 evaluated at the marked point (0, 0); it lies
-in Z[B, C] and satisfies the standard division-polynomial recurrence.
+in Z[B, C] and satisfies the standard division-polynomial recurrence.  P_n is
+built top-down: the recurrence for index 2l or 2l+1 needs only P_{l-2}..P_{l+2},
+so a memoised recursion from n keeps about five indices per halving: 20 for
+P_45 and 25 for P_60, P_0..P_4 included, against 46 and 61 for a fill
+through every index up to n.
 
 F_n is P_n with every factor shared with the discriminant D or with an earlier
 P_d removed; for n >= 4 it is the defining polynomial of the order-n locus
@@ -66,20 +70,26 @@ class DivPolyCache:
             )
         if n < 0:
             return -self.P(-n)
-        if n not in self._P:
-            for k in range(max(self._P) + 1, n + 1):
-                self._P[k] = self._compute(k)
-        return self._P[n]
+        return self._build(n)
+
+    def _build(self, n):
+        """P_n for 0 <= n, memoised; the indices below n that the recurrence
+        reaches are built first, without the guard."""
+        p = self._P.get(n)
+        if p is None:
+            p = self._P[n] = self._compute(n)
+        return p
 
     def _compute(self, n):
-        P = self._P
+        # n >= 5, so l >= 2 and every index l-2..l+2 lies in [0, n)
+        P = self._build
         if n % 2:
             l = (n - 1) // 2
-            return P[l + 2] * P[l] ** 3 - P[l + 1] ** 3 * P[l - 1]
+            return P(l + 2) * P(l) ** 3 - P(l + 1) ** 3 * P(l - 1)
         l = n // 2
-        num = P[l] * (P[l + 2] * P[l - 1] ** 2 - P[l - 2] * P[l + 1] ** 2)
+        num = P(l) * (P(l + 2) * P(l - 1) ** 2 - P(l - 2) * P(l + 1) ** 2)
         # division by P_2 = -B is exact for every even index
-        return div_exact(num, P[2])
+        return div_exact(num, P(2))
 
     def F(self, n):
         """F_n: the defining polynomial for n >= 3 (F_2 = B^4/D as a RatPoly).

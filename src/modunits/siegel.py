@@ -197,6 +197,9 @@ def product_series(e, precN):
     """
     N = e.N
     powers = [(k, ek) for k, ek in enumerate(e.e, start=1) if ek]
-    lead = sum((ek * lead_exponent(k, N) for k, ek in powers), Fraction(0))
+    # sum of ek * lead_exponent(k, N) = ek * (6k^2 - 6kN + N^2) / (12N^2)
+    lead = Fraction(
+        sum(ek * (6 * k * (k - N) + N * N) for k, ek in powers), 12 * N * N
+    )
     fstar = _reduced_series(N, powers, precN)
     return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)

@@ -7,8 +7,10 @@ compose the library's series arithmetic (h_star, pow_int, inv, QSeries
 products) or its dictionary vectors (t_to_h, d_to_h, p_to_h):
 product_series_by_powers and decompose_series_greedy, the references for the
 one-pass recurrence in both directions, expand_p_expression_by_vectors, the
-reference for the one-pass fold, and eval_poly_by_terms, the reference for
-the Horner evaluation and for the recurrence check of p_n.
+reference for the one-pass fold, eval_poly_by_terms, the reference for
+the Horner evaluation and for the recurrence check of p_n, and
+divpoly_sequential, the reference for the top-down build of P_n, which uses
+the library's products and exact division.
 """
 
 from math import gcd
@@ -211,6 +213,37 @@ def sylvester_resultant_in_C(f, g):
         return total
 
     return det(mat)
+
+
+def mul_by_term_pairs(f, g):
+    """f * g in Z[B, C] by adding up the product of every pair of terms; the
+    reference for the Kronecker product."""
+    from modunits.bivar_poly import BivarPoly
+
+    out = {}
+    for (i1, j1), c1 in f.terms.items():
+        for (i2, j2), c2 in g.terms.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return BivarPoly(out)
+
+
+def divpoly_sequential(n):
+    """[P_0, ..., P_n] by the division-polynomial recurrence, filled upward
+    from the printed P_0..P_4 through every index in turn; the reference for
+    the top-down memoised build."""
+    from modunits.bivar_poly import B, C, ONE, ZERO, div_exact
+
+    P = [ZERO, ONE, -B, -(B ** 3), C * B ** 5]
+    for k in range(5, n + 1):
+        if k % 2:
+            l = (k - 1) // 2
+            P.append(P[l + 2] * P[l] ** 3 - P[l + 1] ** 3 * P[l - 1])
+        else:
+            l = k // 2
+            num = P[l] * (P[l + 2] * P[l - 1] ** 2 - P[l - 2] * P[l + 1] ** 2)
+            P.append(div_exact(num, P[2]))
+    return P[: n + 1]
 
 
 def div_exact_rescan(f, g):

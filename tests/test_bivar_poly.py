@@ -17,7 +17,9 @@ from modunits.bivar_poly import (
     remove_common,
     render_poly,
 )
-from support import div_exact_rescan, sylvester_resultant_in_C
+from modunits import bivar_poly
+from modunits.bivar_poly import _mul_kronecker
+from support import div_exact_rescan, mul_by_term_pairs, sylvester_resultant_in_C
 
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -60,6 +62,84 @@ def test_mul_examples():
     assert B * C == BivarPoly({(1, 1): 1})
     assert (C - B) * (C + B) == C ** 2 - B ** 2
     assert (-B) ** 3 == -(B ** 3)
+
+
+# sparse, wide-coefficient inputs for the Kronecker product: small and huge
+# coefficients of both signs, pure-B and pure-C polynomials (with both factors
+# pure-B every slot row has width W = 1), constants and zero
+wide_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2 ** 200, 2 ** 300),
+    st.integers(-(2 ** 300), -(2 ** 200)),
+)
+
+
+def _kronecker_polys(bdeg, cdeg, size):
+    return st.dictionaries(
+        st.tuples(st.integers(0, bdeg), st.integers(0, cdeg)), wide_coeffs, max_size=size
+    ).map(BivarPoly)
+
+
+kronecker_polys = st.one_of(
+    _kronecker_polys(12, 12, 8),
+    _kronecker_polys(40, 3, 5),
+    _kronecker_polys(30, 0, 6),
+    _kronecker_polys(0, 30, 6),
+    _kronecker_polys(0, 0, 1),
+    _kronecker_polys(5, 5, 36),
+)
+
+
+@settings(max_examples=200)
+@given(kronecker_polys, kronecker_polys)
+def test_kronecker_matches_term_pairs_oracle(f, g):
+    assert _mul_kronecker(f, g) == mul_by_term_pairs(f, g)
+    assert _mul_kronecker(f, f) == mul_by_term_pairs(f, f)
+
+
+@settings(max_examples=100)
+@given(kronecker_polys, kronecker_polys)
+def test_kronecker_cancellation(f, g):
+    # (f + g)(f - g) = f^2 - g^2: the cross terms cancel slot by slot
+    prod = _mul_kronecker(f + g, f - g)
+    assert prod == mul_by_term_pairs(f + g, f - g)
+    assert prod == mul_by_term_pairs(f, f) - mul_by_term_pairs(g, g)
+
+
+def test_kronecker_examples():
+    assert _mul_kronecker(ZERO, B) == ZERO
+    assert _mul_kronecker(C, ZERO) == ZERO
+    assert _mul_kronecker(BivarPoly({(0, 0): -3}), ONE) == -3
+    # every middle term cancels
+    geometric = sum((B ** t * C ** (7 - t) for t in range(8)), ZERO)
+    assert _mul_kronecker(C - B, geometric) == C ** 8 - B ** 8
+    assert _mul_kronecker(B - C, B + C) == B ** 2 - C ** 2
+    # a coefficient whose bound fills its slot's top byte
+    big = BivarPoly({(0, 0): 2 ** 255 - 1, (1, 0): -(2 ** 255 - 1)})
+    assert _mul_kronecker(big, big) == mul_by_term_pairs(big, big)
+
+
+def test_mul_takes_the_kronecker_path_above_the_cutoff(monkeypatch):
+    from modunits.divpoly import DivPolyCache
+
+    P = DivPolyCache().P
+    p13, p12, p20, p18 = P(13), P(12), P(20), P(18)
+    calls = []
+
+    def counted(f, g):
+        calls.append((len(f.terms), len(g.terms)))
+        return _mul_kronecker(f, g)
+
+    monkeypatch.setattr(bivar_poly, "_mul_kronecker", counted)
+    assert len(p13.terms) * len(p12.terms) < bivar_poly._KRONECKER_MIN_PAIRS
+    assert p13 * p12 == mul_by_term_pairs(p13, p12)
+    assert not calls
+    assert p20 * p18 == mul_by_term_pairs(p20, p18)
+    assert calls == [(len(p20.terms), len(p18.terms))]
+    # sparse operands spread over a wide degree range stay on the dict loop
+    sparse = sum((B ** (40 * t) * C ** (41 * t) for t in range(30)), ONE)
+    assert sparse * sparse == mul_by_term_pairs(sparse, sparse)
+    assert len(calls) == 1
 
 
 def test_div_exact_examples():

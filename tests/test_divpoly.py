@@ -1,6 +1,10 @@
+import hashlib
+import io
 import random
 
 import pytest
+
+from modunits import cli
 
 from modunits.bivar_poly import (
     B,
@@ -19,6 +23,7 @@ from modunits.divpoly import (
     DivPolyCache,
     FactorizationIncomplete,
 )
+from support import divpoly_sequential
 
 # the printed tables, in factored form
 P_TABLE = {
@@ -225,6 +230,49 @@ def test_range_guard():
     with pytest.raises(ValueError):
         cache.P(9)
     cache.P(8)  # at the guard is fine
+    # the top-down build reaches only indices below n, never past the guard
+    cache = DivPolyCache(max_n=45)
+    cache.P(45)
+    for n in (46, -46):
+        with pytest.raises(ValueError):
+            cache.P(n)
+
+
+def test_top_down_matches_sequential_fill():
+    want = divpoly_sequential(40)
+    cache = DivPolyCache()
+    for n in (40, 33, 17):
+        assert cache.P(n) == want[n], "P_%d" % n
+    for n in range(41):
+        assert cache.P(n) == want[n], "P_%d" % n
+        assert DivPolyCache().P(-n) == -want[n], "P_-%d" % n
+
+
+# sha256 of the stdout of `modunits poly <kind> --n <n>`, as printed when
+# P_n was filled upward through every index and multiplied term by term
+POLY_SHA256 = {
+    ("F", 4): "12f37a8a84034d3e623d726fe10e5031f4df997ac13f4d5571b5a90c41fb84fe",
+    ("F", 5): "2c57b0994f19b10097fafd38a9950740f380dcc71537ddde653c229d5844ef72",
+    ("F", 6): "e8b19d163eff0ebc4429bb9d81fbb1047f782e5e7d13c850a07c0b6bf71cc056",
+    ("F", 7): "b289ae2a587f0be8f1c90a098841069f8047ee5efe9fd58de78fc50249799938",
+    ("F", 8): "4fe4b375b3c875c1c268416db9fd12bae8875d55c8b35d8c5699c3c7c3ff4b9d",
+    ("F", 9): "09f33618258a94000a2aa206238c89007843b839d7ba09d070e2e49514432542",
+    ("F", 10): "698ef9bddf745846653c144418be0e65450cd19da59bf7aa883c4acd61fd2998",
+    ("F", 11): "36f918ee9943640ea634ec68c54e428c465acfe02e2593a4ba0094a61e2b26b5",
+    ("F", 12): "e8db1dc02425e7aad6cf778833e181e01ce62977e1270645e93962579bea445a",
+    ("F", 13): "d335d288eeb3a71cebcc5a5178a2653fcb070ef7fc101422ee992c745cdc742a",
+    ("F", 14): "6da32cca99016d454e3653c366b2cf4e861569c2b041b42f44b062aea671d548",
+    ("F", 15): "0612bedafd54251de929f80563d61c84d12279ddff7686107c02cbd0441ba0e4",
+    ("F", 16): "749f73968a08082ceedbb40a198443ac118af752b2dbf0237f97a0c9e5cd9b6c",
+    ("P", 45): "b907d13c9e269177ad2f0c24ea594f19960608d80e0ccdf6fdcb49126d7da1e4",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(POLY_SHA256))
+def test_poly_stdout_pinned(kind, n):
+    out = io.StringIO()
+    assert cli.main(["poly", kind, "--n", str(n)], out=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == POLY_SHA256[kind, n]
 
 
 def test_f_needs_n_at_least_2():

@@ -1,3 +1,4 @@
+import random
 from dataclasses import fields
 from fractions import Fraction
 
@@ -60,6 +61,15 @@ def test_single_factor_lead_exponent():
     assert sp.leadExp == Fraction(13, 588)
     lead, lead_exp, fstar = sp.fstar.reduced_form()
     assert (lead, lead_exp) == (1, 0) and fstar == sp.fstar
+
+
+def test_product_lead_exponent_is_the_sum_of_lead_exponents():
+    rng = random.Random(11)
+    for N in range(4, 61):
+        for _ in range(3):
+            e = ExpVector(N, [rng.randint(-9, 9) for _ in range(N // 2)])
+            want = sum(ek * lead_exponent(k, N) for k, ek in enumerate(e.e, start=1))
+            assert product_series(e, 1).leadExp == want, (N, e.e)
 
 
 def test_h_star_bad_index():
