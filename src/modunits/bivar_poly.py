@@ -12,7 +12,9 @@ a dict.  Large dense ones go through Kronecker substitution (Harvey,
 arXiv:0712.4046): both factors are packed into integers, one slot per
 monomial, sheared so that the slot counts total degree and then the degree in
 C; one big-integer product does the work and the slots are read back.  The
-cutoff between the two is a measured constant (_KRONECKER_MIN_PAIRS).
+cutoff between the two is a measured constant (_KRONECKER_MIN_PAIRS).  The
+slot packing and reading, pack_slots and unpack_slots, also serve the
+Kronecker path of the series product in qseries.
 """
 
 from __future__ import annotations
@@ -353,38 +355,55 @@ def _mul_kronecker(f, g):
     k = bound.bit_length() // 8 + 1
     fpacked = _kronecker_pack(f, fs, width, k)
     gpacked = fpacked if g is f else _kronecker_pack(g, gs, width, k)
-    # adding 2^(8k-1) to every slot makes each one a nonnegative k-byte digit
-    half = 1 << (8 * k - 1)
-    zero = half.to_bytes(k, "little")
-    data = (fpacked * gpacked + int.from_bytes(zero * slots, "little")).to_bytes(
-        slots * k, "little"
-    )
     out = {}
     low = fs + gs
-    at = 0
-    for t in range(slots):
-        digit = data[at : at + k]
-        if digit != zero:
-            s, j = divmod(t, width)
-            out[(low + s - j, j)] = int.from_bytes(digit, "little") - half
-        at += k
+    for t, c in unpack_slots(fpacked * gpacked, slots, k):
+        s, j = divmod(t, width)
+        out[(low + s - j, j)] = c
     return _from_clean(out)
 
 
 def _kronecker_pack(f, s, width, k):
-    """The integer sum of c * 2^(8k((i + j - s)*W + j)) over the terms of f,
-    with W = width, built as the difference of two byte strings: one of the
-    positive and one of the negative coefficients."""
-    size = (f.total_degree - s + 1) * width * k
-    pos = bytearray(size)
-    neg = bytearray(size)
-    for (i, j), c in f.terms.items():
-        at = ((i + j - s) * width + j) * k
+    """f packed in k-byte slots, the term c*B^i*C^j at (i + j - s)*W + j."""
+    return pack_slots(
+        (((i + j - s) * width + j, c) for (i, j), c in f.terms.items()),
+        (f.total_degree - s + 1) * width,
+        k,
+    )
+
+
+def pack_slots(items, slots, k):
+    """The integer sum of c * 2^(8k*t) over the (t, c) pairs of items, for
+    0 <= t < slots and every |c| < 2^(8k-1), built as the difference of two
+    byte strings: one of the positive and one of the negative coefficients."""
+    pos = bytearray(slots * k)
+    neg = bytearray(slots * k)
+    for t, c in items:
+        at = t * k
         if c > 0:
             pos[at : at + k] = c.to_bytes(k, "little")
-        else:
+        elif c:
             neg[at : at + k] = (-c).to_bytes(k, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def unpack_slots(value, slots, k):
+    """The nonzero digits among the lowest `slots` signed digits of value in
+    base 2^(8k), as (slot, digit) pairs, when every digit lies in
+    [-2^(8k-1), 2^(8k-1)): the slots of a product of two pack_slots integers
+    whose k bounds each slot of the product."""
+    # adding 2^(8k-1) to every slot makes each one a nonnegative k-byte digit
+    half = 1 << (8 * k - 1)
+    zero = half.to_bytes(k, "little")
+    size = slots * k
+    data = (
+        (value + int.from_bytes(zero * slots, "little")) & ((1 << (8 * size)) - 1)
+    ).to_bytes(size, "little")
+    return [
+        (t, int.from_bytes(digit, "little") - half)
+        for t, at in enumerate(range(0, size, k))
+        if (digit := data[at : at + k]) != zero
+    ]
 
 
 def _from_clean(terms):

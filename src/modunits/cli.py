@@ -264,7 +264,7 @@ def _verify_tasks(N, precN, nmax, trials, seed):
     reports = [
         curve_series.defining_equation_report(N, expansion=expansion),
         curve_series.d_consistency_report(N, expansion=expansion),
-        curve_series.express2_series_report(N, precN),
+        curve_series.express2_series_report(N, expansion=expansion),
         _ledger_report(N),
         _roundtrip_report(N, trials, seed, N // 2 + 2),
     ]

@@ -47,7 +47,7 @@ def _resolve(sign, sp):
 
 class CurveExpansion:
     """Series data for one level; immutable after construction apart from the
-    internal p_n and power caches."""
+    internal Siegel-product, p_n and power caches."""
 
     def __init__(self, N, precN, divcache=None):
         if N < 4:
@@ -57,19 +57,27 @@ class CurveExpansion:
         self.N = N
         self.precN = precN
         self.divcache = divcache if divcache is not None else divpoly._default_cache
+        self._products = {}
         self._pcache = {}
         s2, vec2 = p_to_h(2, N)
-        self._pcache[2] = _resolve(s2, product_series(vec2, precN))
-        self.b = -self._pcache[2]
+        self.b = -self.p(2)
         if N == 4:
             # p_4 is the zero series at level 4, and so is c
             self.c = self.p(4) * self.b.pow_int(-5)
         else:
             # c = p_4 / b^5 = -p_4 / p_2^5, one Siegel product
             s4, vec4 = p_to_h(4, N)
-            self.c = _resolve(-s4 * s2, product_series(vec4 - vec2.scale(5), precN))
-        self.d = _resolve(1, product_series(d_to_h(N), precN))
+            self.c = _resolve(-s4 * s2, self.product(vec4 - vec2.scale(5)))
+        self.d = _resolve(1, self.product(d_to_h(N)))
         self._bpows = [QSeries.one(N, precN), self.b]
+
+    def product(self, vec):
+        """product_series(vec, precN), built once per exponent vector: at small
+        levels distinct units can share one (v = -p_3 at N = 4, c = p_2 at
+        N = 5)."""
+        if vec not in self._products:
+            self._products[vec] = product_series(vec, self.precN)
+        return self._products[vec]
 
     def p(self, n):
         """The p_n series (zero to precision when n = 0 mod N)."""
@@ -79,7 +87,7 @@ class CurveExpansion:
                 self._pcache[n] = QSeries.zero(self.N, self.precN)
             else:
                 sign, vec = folded
-                self._pcache[n] = _resolve(sign, product_series(vec, self.precN))
+                self._pcache[n] = _resolve(sign, self.product(vec))
         return self._pcache[n]
 
     def _bpow(self, i):
@@ -233,17 +241,21 @@ def check_d_consistency(N, precN=None):
     return d_consistency_report(N, precN)["pass"]
 
 
-def express2_series_report(N, precN=None):
-    """p_{m+1} = v p_m (N odd) or v p_{m-1} (N even), as truncated series."""
-    if precN is None:
-        precN = 15 * N
+def express2_series_report(N, precN=None, expansion=None):
+    """p_{m+1} = v p_m (N odd) or v p_{m-1} (N even), as truncated series.
+
+    Both p series come from the expansion's cache.  v is one Siegel product
+    with sum(v) = 0, so its power of i is 0 and it resolves on its own; its
+    product with the resolved partner has the precision and window of the
+    product taken as Siegel products before the shift to q-exponents."""
+    if expansion is None:
+        expansion = expand_curve(N, precN)
     m = N // 2
-    s_hi, vec_hi = p_to_h(m + 1, N)
-    lhs = _resolve(s_hi, product_series(vec_hi, precN))
     partner = m if N % 2 else m - 1
-    s_lo, vec_lo = p_to_h(partner, N)
-    v_prod = product_series(v_to_h(N), precN)
-    rhs = _resolve(s_lo, v_prod * product_series(vec_lo, precN))
-    report = _agreement_report("express2_series", N, precN, lhs, rhs)
+    v = expansion.product(v_to_h(N)).to_qseries()
+    report = _agreement_report(
+        "express2_series", N, expansion.precN,
+        expansion.p(m + 1), v * expansion.p(partner),
+    )
     report["n"] = m + 1
     return report

@@ -11,13 +11,26 @@ is identically O(...).  All arithmetic tracks precision pessimistically
 (min-based rules); no coefficient beyond the tracked window is ever invented.
 Fractional powers are deliberately not implemented: every pipeline path uses
 integer exponents only.
+
+A product needs the first n = min(len f, len g) coefficients of each factor
+and has two paths behind the one operator.  Narrow int windows go through
+Kronecker substitution (Harvey, arXiv:0712.4046), with the slot packing that
+bivar_poly uses: each window is packed into one integer with one k-byte slot
+per coefficient, one big-integer product does the work, and the low n slots
+are read back.  It is taken when both windows hold only ints, n is at least
+a measured minimum and the slot bound max|f| * max|g| * n fits a measured
+number of bits.  Every other product, Fraction coefficients, short windows
+and wide slots, sums the coefficient products of each output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd as _int_gcd
 from operator import mul
+
+from .bivar_poly import pack_slots, unpack_slots
 
 __all__ = ["QSeries", "ZeroSeries"]
 
@@ -31,6 +44,42 @@ def _norm_coeff(c):
         return c
     f = Fraction(c)
     return f.numerator if f.denominator == 1 else f
+
+
+# QSeries.__mul__ multiplies two windows of n int coefficients by one
+# big-integer product when n >= _KRONECKER_MIN_WINDOW and the slot bound
+# max|f| * max|g| * n has at most _KRONECKER_MAX_BITS bits.  Measured against
+# the coefficient sums (py3.11, 2 cores): on random windows the big product
+# runs at 0.5-0.9x for n = 16, about 1x for n = 32 and 1.3-1.8x for n = 64
+# with slots up to 270 bits.  On real operands a series' coefficients grow
+# along its window, so a slot sized for the largest wastes bits on the rest.
+# Over the products of verify --N 30 and --N 60, slots of 384-511 bits ran at
+# 1.1-1.6x, 512-639 bits at 0.8-1.1x and wider ones down to 0.43x; with no
+# cap the 245 products at N = 60 took 32.9 s against 16.6 s for the sums.
+# With both limits, the products of verify --N 4..14 take 0.111 s against
+# 0.216 s, and those at N = 60 take 16.0 s.
+_KRONECKER_MIN_WINDOW = 64
+_KRONECKER_MAX_BITS = 512
+
+
+def _is_int(coeffs):
+    return all(map(isinstance, coeffs, repeat(int)))
+
+
+def _mul_kronecker(fc, gc, bound):
+    """The first n coefficients of fc * gc, both windows of n ints, by
+    Kronecker substitution: each window packed into k-byte slots, one
+    big-integer product, the low n slots read back.  bound limits every
+    coefficient of the full product, so k = bound bytes plus a sign bit keeps
+    the slots apart."""
+    n = len(fc)
+    k = bound.bit_length() // 8 + 1
+    fpacked = pack_slots(enumerate(fc), n, k)
+    gpacked = fpacked if gc is fc else pack_slots(enumerate(gc), n, k)
+    out = [0] * n
+    for t, c in unpack_slots(fpacked * gpacked, n, k):
+        out[t] = c
+    return out
 
 
 class QSeries:
@@ -194,8 +243,14 @@ class QSeries:
         precN = min(f.precN + gord, g.precN + ford)
         ord_ = ford + gord
         # the window is min(len(f), len(g)) long, so every k needs f[0..k], g[k..0]
-        fc, gc = f.coeffs, g.coeffs
-        out = [sum(map(mul, fc[: k + 1], gc[k::-1])) for k in range(precN - ord_)]
+        n = precN - ord_
+        fc = f.coeffs[:n]
+        gc = fc if g is f else g.coeffs[:n]
+        if n >= _KRONECKER_MIN_WINDOW and _is_int(fc) and (gc is fc or _is_int(gc)):
+            bound = max(map(abs, fc)) * max(map(abs, gc)) * n
+            if bound.bit_length() <= _KRONECKER_MAX_BITS:
+                return QSeries(self.denomN, ord_, _mul_kronecker(fc, gc, bound), precN)
+        out = [sum(map(mul, fc[: k + 1], gc[k::-1])) for k in range(n)]
         return QSeries(self.denomN, ord_, out, precN)
 
     __rmul__ = __mul__

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as _int_gcd
 from math import prod
+from operator import mul
 from typing import Tuple
 
 from .siegel import fold_index, product_series
@@ -70,7 +71,7 @@ class ExpVector:
     def __post_init__(self):
         if self.N < 4:
             raise ValueError("level N must be at least 4")
-        e = tuple(int(x) for x in self.e)
+        e = tuple(map(int, self.e))
         if len(e) != self.N // 2:
             raise ValueError(
                 "expected %d exponents at level %d, got %d"
@@ -87,7 +88,7 @@ class ExpVector:
         m = N // 2
         if not 1 <= k <= m:
             raise ValueError("basis index %d outside [1, %d]" % (k, m))
-        return cls(N, tuple(1 if i == k else 0 for i in range(1, m + 1)))
+        return cls(N, (0,) * (k - 1) + (1,) + (0,) * (m - k))
 
     @property
     def m(self):
@@ -99,7 +100,8 @@ class ExpVector:
 
     @property
     def sum2(self):
-        return sum(k * k * ek for k, ek in enumerate(self.e, start=1))
+        ks = range(1, len(self.e) + 1)
+        return sum(map(mul, map(mul, ks, ks), self.e))
 
     @property
     def ledger(self):

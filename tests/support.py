@@ -31,6 +31,20 @@ def dense_mul(a, b, cap):
     return out
 
 
+def series_mul_schoolbook(f, g):
+    """QSeries product by dense_mul's double loop over every pair of tracked
+    coefficients, truncated at min(prec f + ord g, prec g + ord f) with an
+    empty window counting as starting at its precision; the reference for
+    both product paths of QSeries.__mul__."""
+    from modunits.qseries import QSeries
+
+    ford = f.ord if f.coeffs else f.precN
+    gord = g.ord if g.coeffs else g.precN
+    precN = min(f.precN + gord, g.precN + ford)
+    cap = precN - ford - gord
+    return QSeries(f.denomN, ford + gord, dense_mul(list(f.coeffs), list(g.coeffs), cap), precN)
+
+
 def dense_product_of_factors(exponents, cap):
     """Expand prod (1 - x^e) for e in exponents, truncated below cap."""
     out = [0] * cap

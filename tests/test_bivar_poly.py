@@ -18,7 +18,7 @@ from modunits.bivar_poly import (
     render_poly,
 )
 from modunits import bivar_poly
-from modunits.bivar_poly import _mul_kronecker
+from modunits.bivar_poly import _mul_kronecker, pack_slots, unpack_slots
 from support import div_exact_rescan, mul_by_term_pairs, sylvester_resultant_in_C
 
 small_polys = st.dictionaries(
@@ -104,6 +104,27 @@ def test_kronecker_cancellation(f, g):
     prod = _mul_kronecker(f + g, f - g)
     assert prod == mul_by_term_pairs(f + g, f - g)
     assert prod == mul_by_term_pairs(f, f) - mul_by_term_pairs(g, g)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.integers(-(2 ** (8 * k - 1)), 2 ** (8 * k - 1) - 1), max_size=40),
+        )
+    )
+)
+def test_slots_round_trip(case):
+    # every slot value in the signed range comes back, the extremes included
+    k, digits = case
+    items = list(enumerate(digits))
+    packed = pack_slots(reversed(items), len(digits), k)
+    assert packed == sum(c << (8 * k * t) for t, c in items)
+    assert unpack_slots(packed, len(digits), k) == [(t, c) for t, c in items if c]
+    # the digits above the requested slots are dropped, carries and all
+    low = len(digits) // 2
+    assert unpack_slots(packed, low, k) == [(t, c) for t, c in items[:low] if c]
 
 
 def test_kronecker_examples():

@@ -219,3 +219,53 @@ def test_c_is_one_siegel_product():
     for N in range(5, 41):
         exp = _expansion(N, 15 * N)
         assert exp.c == exp.p(4) * exp.b.pow_int(-5), N
+
+
+def test_express2_reads_the_level_expansion():
+    from modunits.siegel import product_series
+    from modunits.unit_lattice import p_to_h, v_to_h
+
+    for N in range(4, 21):
+        precN = 15 * N
+        exp = expand_curve(N, precN)
+        report = express2_series_report(N, expansion=exp)
+        assert report == express2_series_report(N) == express2_series_report(N, precN), N
+        assert report["pass"] and report["n"] == N // 2 + 1, N
+        # v resolved on its own times the resolved partner is the product
+        # taken as Siegel products: same window, same precision
+        m = N // 2
+        partner = m if N % 2 else m - 1
+        sign, vec = p_to_h(partner, N)
+        joint = product_series(v_to_h(N), precN) * product_series(vec, precN)
+        assert exp.product(v_to_h(N)).ipow == 0, N
+        assert exp.product(v_to_h(N)).to_qseries() * exp.p(partner) == (
+            joint.to_qseries() * sign
+        ), N
+        # and p_{m+1} is the cached series: perturbing it fails the check
+        good = exp.p(m + 1)
+        e = good.ord + 1
+        terms = {k: good.coeff(k) for k in range(good.ord, good.precN)}
+        terms[e] = terms.get(e, 0) + 1
+        exp._pcache[m + 1] = QSeries.from_terms(N, terms, good.precN)
+        bad = express2_series_report(N, expansion=exp)
+        assert not bad["pass"] and bad["firstFailingExponent"] == str(Fraction(e, N)), N
+
+
+def test_verify_builds_each_siegel_product_once(monkeypatch):
+    from collections import Counter
+
+    from modunits import cli, curve_series
+
+    built = Counter()
+    real = curve_series.product_series
+
+    def counted(vec, precN):
+        built[vec, precN] += 1
+        return real(vec, precN)
+
+    monkeypatch.setattr(curve_series, "product_series", counted)
+    for N in range(4, 21):
+        built.clear()
+        cli._verify_tasks(N, 15 * N, N // 2 + 2, 2, 1)
+        twice = [vec.e for (vec, precN), k in built.items() if precN == 15 * N and k > 1]
+        assert built and not twice, (N, twice)

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from modunits import qseries
+from modunits.curve_series import expand_curve
 from modunits.qseries import QSeries, ZeroSeries
-from support import dense_mul
+from support import dense_mul, series_mul_schoolbook
 
 
 def geometric(N, precN):
@@ -203,17 +205,140 @@ mixed_series_st = st.tuples(
 ).map(lambda t: QSeries(3, t[0], t[1], t[0] + len(t[1])))
 
 
-def _schoolbook_mul(f, g):
-    ford = f.ord if f.coeffs else f.precN
-    gord = g.ord if g.coeffs else g.precN
-    precN = min(f.precN + gord, g.precN + ford)
-    cap = precN - ford - gord
-    return QSeries(f.denomN, ford + gord, dense_mul(list(f.coeffs), list(g.coeffs), cap), precN)
-
-
 @settings(max_examples=150)
 @given(mixed_series_st, mixed_series_st)
 def test_mul_matches_schoolbook_oracle(f, g):
     prod = f * g
-    assert prod == _schoolbook_mul(f, g)
+    assert prod == series_mul_schoolbook(f, g)
     assert all(isinstance(c, int) or c.denominator != 1 for c in prod.coeffs)
+
+
+# -- the Kronecker path of QSeries.__mul__ -------------------------------------
+
+KMIN = qseries._KRONECKER_MIN_WINDOW
+KBITS = qseries._KRONECKER_MAX_BITS
+
+# windows on both sides of the Kronecker minimum: negative coefficients, runs
+# of zeros, small and wide entries, one-coefficient and empty windows
+window_coeff_st = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-(2 ** 200), 2 ** 200)
+)
+long_window_st = st.one_of(
+    st.lists(window_coeff_st, max_size=KMIN + 30),
+    st.lists(window_coeff_st, min_size=KMIN - 2, max_size=KMIN + 2),
+    st.lists(window_coeff_st, min_size=KMIN, max_size=2 * KMIN),
+    st.lists(window_coeff_st, min_size=1, max_size=1),
+    # runs of zeros between small coefficients
+    st.lists(
+        st.one_of(st.integers(-5, 5).map(lambda c: [c]), st.integers(1, 12).map(lambda r: [0] * r)),
+        max_size=KMIN,
+    ).map(lambda parts: sum(parts, [])),
+)
+long_series_st = st.one_of(
+    st.tuples(st.integers(-6, 6), long_window_st).map(
+        lambda t: QSeries(2, t[0], t[1], t[0] + len(t[1]))
+    ),
+    st.integers(-6, KMIN + 6).map(lambda p: QSeries.zero(2, p)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_series_st, long_series_st)
+def test_long_mul_matches_schoolbook_oracle(f, g):
+    assert f * g == series_mul_schoolbook(f, g)
+    assert f * f == series_mul_schoolbook(f, f)
+    # the cancelling product (f + g)(f - g)
+    s, d = f + g, f - g
+    assert s * d == series_mul_schoolbook(s, d)
+
+
+def _at_cap(n, abits, bits, sign):
+    """Two windows of n ints whose slot bound max|f| * max|g| * n has exactly
+    the given number of bits, with every coefficient at its extreme so that
+    one product coefficient reaches the bound."""
+    a = 2 ** abits - 1
+    b = -(-(2 ** (bits - 1)) // (a * n))
+    assert (a * b * n).bit_length() == bits
+    return [a] * n, [sign * b if k % 2 else b for k in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(KMIN, KMIN + 40),
+    st.integers(1, 300),
+    st.sampled_from([KBITS - 1, KBITS, KBITS + 1]),
+    st.sampled_from([1, -1]),
+    st.integers(-4, 4),
+)
+def test_mul_at_the_slot_cap_matches_oracle(n, abits, bits, sign, ord_):
+    fc, gc = _at_cap(n, abits, bits, sign)
+    f = QSeries(3, ord_, fc, ord_ + n)
+    g = QSeries(3, -ord_, gc + [1] * 5, n + 5 - ord_)
+    assert f * g == series_mul_schoolbook(f, g)
+    assert g * f == series_mul_schoolbook(g, f)
+    assert -f * g == series_mul_schoolbook(-f, g)
+
+
+def test_long_mul_cancels_to_a_monomial():
+    n = 3 * KMIN
+    geom = QSeries(2, -1, [1] * n, n - 1)
+    one_minus_q = QSeries(2, 0, [1, -1] + [0] * (n - 2), n)
+    assert geom * one_minus_q == QSeries.monomial(2, -1, n - 1)
+
+
+def test_long_mul_with_fraction_coefficients():
+    f = QSeries(5, 0, [Fraction(k, 3) for k in range(1, KMIN + 10)], KMIN + 9)
+    g = QSeries(5, 2, [(-1) ** k * k for k in range(KMIN + 20)], KMIN + 22)
+    assert f * g == series_mul_schoolbook(f, g)
+    assert f * f == series_mul_schoolbook(f, f)
+
+
+def test_mul_of_real_operands_matches_oracle():
+    e14 = expand_curve(14)
+    for i in (1, 3, 6):
+        bi = e14.b.pow_int(i)
+        assert bi * e14.c == series_mul_schoolbook(bi, e14.c), i
+    e30 = expand_curve(30)
+    p5, p6 = e30.p(5), e30.p(6)
+    assert p5 * p6 == series_mul_schoolbook(p5, p6)
+
+
+def test_mul_takes_the_kronecker_path_on_narrow_int_windows(monkeypatch):
+    calls = []
+
+    def counted(fc, gc, bound):
+        calls.append(len(fc))
+        return kronecker(fc, gc, bound)
+
+    kronecker = qseries._mul_kronecker
+    monkeypatch.setattr(qseries, "_mul_kronecker", counted)
+
+    def path(f, g):
+        del calls[:]
+        assert f * g == series_mul_schoolbook(f, g)
+        return bool(calls)
+
+    def series(coeffs, ord_=0):
+        return QSeries(7, ord_, coeffs, ord_ + len(coeffs))
+
+    small = [(-1) ** k * (k % 5) for k in range(1, KMIN + 40)]
+    # narrow int windows at and above the minimum
+    assert path(series(small[:KMIN]), series(small))
+    assert path(series(small), series(small, -3))
+    # only the first n coefficients count: a Fraction beyond the window of a
+    # longer factor does not
+    assert path(series(small[:KMIN]), series(small + [Fraction(1, 2)]))
+    # short windows, Fraction coefficients and wide slots stay on the loop
+    assert not path(series(small[: KMIN - 1]), series(small))
+    assert not path(series(small), series([Fraction(1, 2)] + small))
+    assert not path(series([Fraction(1, 2)] + small), series(small))
+    for n in (KMIN, KMIN + 17):
+        fc, gc = _at_cap(n, 100, KBITS, -1)
+        assert path(series(fc), series(gc))
+        fc, gc = _at_cap(n, 100, KBITS + 1, -1)
+        assert not path(series(fc), series(gc))
+    # real operands: b^i c at N = 14 is narrow, p_5 p_6 at N = 30 is wide
+    e14 = expand_curve(14)
+    assert path(e14.b.pow_int(3), e14.c)
+    e30 = expand_curve(30)
+    assert not path(e30.p(5), e30.p(6))
