@@ -2,9 +2,13 @@
 between them.
 
 b and c are recovered from the Siegel side through p_2 = -b and p_4 = c b^5;
-d is the series of (t h_{(1/N,0)})^12.  The checks verify, to the tracked
-precision, that F_N(b, c) vanishes, that P_n(b, c) agrees with the p_n series
-coming from the exponent dictionary, and that D(b, c) agrees with d.
+d is the series of (t h_{(1/N,0)})^12.  Every product of powers of the p_k
+(p_n itself, c = -p_4 / p_2^5 and the monomials of the recurrence below) is
+one Siegel product, built by CurveExpansion.monomial; a factor p_k with
+k = 0 mod N makes it the zero series, which is how c vanishes at N = 4, with
+no branch for that level.  The checks verify, to the tracked precision, that
+F_N(b, c) vanishes, that P_n(b, c) agrees with the p_n series coming from the
+exponent dictionary, and that D(b, c) agrees with d.
 
 Polynomials are evaluated by Horner in C.  The p_n check evaluates P_n only
 for n <= 4.  For n >= 5 it checks that the p_n series satisfy the
@@ -16,7 +20,7 @@ P_n(b, c) = p_n, without the powers of b up to deg_B P_n.
 from __future__ import annotations
 
 from . import divpoly
-from .qseries import QSeries
+from .qseries import QSeries, ZeroSeries
 from .siegel import product_series
 from .unit_lattice import ExpVector, d_to_h, p_to_h, v_to_h
 
@@ -47,7 +51,8 @@ def _resolve(sign, sp):
 
 class CurveExpansion:
     """Series data for one level; immutable after construction apart from the
-    internal Siegel-product, p_n and power caches."""
+    caches _products (Siegel products by exponent vector), _pcache (p_n) and
+    _bpows (powers of b)."""
 
     def __init__(self, N, precN, divcache=None):
         if N < 4:
@@ -59,15 +64,9 @@ class CurveExpansion:
         self.divcache = divcache if divcache is not None else divpoly._default_cache
         self._products = {}
         self._pcache = {}
-        s2, vec2 = p_to_h(2, N)
         self.b = -self.p(2)
-        if N == 4:
-            # p_4 is the zero series at level 4, and so is c
-            self.c = self.p(4) * self.b.pow_int(-5)
-        else:
-            # c = p_4 / b^5 = -p_4 / p_2^5, one Siegel product
-            s4, vec4 = p_to_h(4, N)
-            self.c = _resolve(-s4 * s2, self.product(vec4 - vec2.scale(5)))
+        # c = p_4 / b^5 = -p_4 / p_2^5 (the zero series at N = 4)
+        self.c = -self.monomial({4: 1, 2: -5})
         self.d = _resolve(1, self.product(d_to_h(N)))
         self._bpows = [QSeries.one(N, precN), self.b]
 
@@ -79,15 +78,35 @@ class CurveExpansion:
             self._products[vec] = product_series(vec, self.precN)
         return self._products[vec]
 
+    def monomial(self, powers):
+        """prod p_k^r over the (k, r) items of powers, as one Siegel product of
+        sum r*vec_k with sign prod s_k^(r mod 2).  When a factor p_k with
+        k = 0 mod N occurs, the result is the zero series to precN times the
+        product of the other factors; a negative power of one raises
+        ZeroSeries."""
+        N = self.N
+        sign, e, vanishes = 1, [0] * (N // 2), False
+        for k, r in powers.items():
+            if not r:
+                continue
+            folded = p_to_h(k, N)
+            if folded is None:
+                if r < 0:
+                    raise ZeroSeries("p_%d is the zero series at level %d" % (k, N))
+                vanishes = True
+                continue
+            s, vec = folded
+            if r % 2:
+                sign *= s
+            for i, x in enumerate(vec.e):
+                e[i] += r * x
+        rest = _resolve(sign, self.product(ExpVector(N, e)))
+        return QSeries.zero(N, self.precN) * rest if vanishes else rest
+
     def p(self, n):
         """The p_n series (zero to precision when n = 0 mod N)."""
         if n not in self._pcache:
-            folded = p_to_h(n, self.N)
-            if folded is None:
-                self._pcache[n] = QSeries.zero(self.N, self.precN)
-            else:
-                sign, vec = folded
-                self._pcache[n] = _resolve(sign, self.product(vec))
+            self._pcache[n] = self.monomial({n: 1})
         return self._pcache[n]
 
     def _bpow(self, i):
@@ -163,30 +182,11 @@ def check_defining_equation(N, precN=None):
     return defining_equation_report(N, precN)["pass"]
 
 
-def _p_monomial(N, precN, powers):
-    """prod p_k^r over the (k, r) items of powers, as one Siegel product of
-    sum r*vec_k with sign prod s_k^(r mod 2); None when a factor p_k with
-    k = 0 mod N (the zero series) occurs."""
-    sign, e = 1, [0] * (N // 2)
-    for k, r in powers.items():
-        if not r:
-            continue
-        folded = p_to_h(k, N)
-        if folded is None:
-            return None
-        s, vec = folded
-        if r % 2:
-            sign *= s
-        for i, x in enumerate(vec.e):
-            e[i] += r * x
-    return _resolve(sign, product_series(ExpVector(N, e), precN))
-
-
 def _recurrence_series(expansion, n):
     """p_n rebuilt from p_1..p_{n-1} by the division-polynomial recurrence,
     n >= 5: u - v with u = p_{l+2} p_l^3, v = p_{l+1}^3 p_{l-1} for n = 2l+1,
     and u = p_l p_{l+2} p_{l-1}^2 / p_2, v = p_l p_{l-2} p_{l+1}^2 / p_2 for
-    n = 2l.  A monomial with a zero factor is dropped."""
+    n = 2l.  A monomial with a zero factor (the zero series) is dropped."""
     l = n // 2
     if n % 2:
         monomials = ({l + 2: 1, l: 3}, {l + 1: 3, l - 1: 1})
@@ -195,8 +195,8 @@ def _recurrence_series(expansion, n):
         for powers in monomials:
             # l - 1 or l - 2 can be 2 itself
             powers[2] = powers.get(2, 0) - 1
-    u, v = (_p_monomial(expansion.N, expansion.precN, pw) for pw in monomials)
-    terms = [(sign, mono) for sign, mono in ((1, u), (-1, v)) if mono is not None]
+    u, v = (expansion.monomial(pw) for pw in monomials)
+    terms = [(sign, mono) for sign, mono in ((1, u), (-1, v)) if not mono.is_zero]
     if not terms:
         return QSeries.zero(expansion.N, expansion.p(n).precN)
     return _combination(terms)
@@ -205,10 +205,12 @@ def _recurrence_series(expansion, n):
 def p_consistency_report(N, n, precN=None, expansion=None):
     """P_n(b, c) agrees with the p_n series (vanishes when n = 0 mod N).
 
-    n <= 4 is checked by evaluating P_n at (b, c).  For n >= 5 the p_n series
-    is compared with the division-polynomial recurrence applied to the
-    p_1..p_{n-1} series; since P_n is built by that same recurrence, this is
-    equivalent to P_n(b, c) = p_n once the lower indices are checked.
+    n <= 4 is checked by evaluating P_n at (b, c); at N = 4, p_4 is the zero
+    series to precN, so the comparison with it is a vanishing check.  For
+    n >= 5 the p_n series is compared with the division-polynomial recurrence
+    applied to the p_1..p_{n-1} series; since P_n is built by that same
+    recurrence, this is equivalent to P_n(b, c) = p_n once the lower indices
+    are checked.
     """
     if expansion is None:
         expansion = expand_curve(N, precN)
@@ -218,8 +220,6 @@ def p_consistency_report(N, n, precN=None, expansion=None):
             _recurrence_series(expansion, n), n=n,
         )
     lhs = expansion.eval_poly(expansion.divcache.P(n))
-    if n % N == 0:
-        return _vanishing_report("p_consistency", N, expansion.precN, lhs, n=n)
     return _agreement_report(
         "p_consistency", N, expansion.precN, lhs, expansion.p(n), n=n
     )

@@ -16,9 +16,11 @@ X1(n) in the (B, C)-plane.  P_n factors along the divisors of n,
 
 each F_d once and no factor of D = B^3 * quartic, so F_n is computed by exact
 division: shift out the lowest power of B, divide once by each F_d for the
-proper divisors 4 <= d < n, and normalise.  FactorizationIncomplete is raised
-when that structure fails, i.e. when a division is inexact or the quartic of D
-still divides the result.
+proper divisors 4 <= d < n, and normalise.  The same walk gives the
+factorisation of P_n and its sign (factor_P_over_F), with no trial division.
+FactorizationIncomplete is raised when that structure fails, i.e. when a
+division is inexact, the quartic of D still divides F_n, or the walk does not
+end at +-F_n.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = ["DivPolyCache", "FactorizationIncomplete", "DISCRIMINANT"]
 
 
 class FactorizationIncomplete(ArithmeticError):
-    """A nonconstant cofactor survived trial division over the F-basis."""
+    """P_n does not factor as +-B^(a_n) times the F_d of its divisors d >= 4."""
 
 
 # D = B^3 * (C^4 - 8BC^2 - 3C^3 + 16B^2 - 20BC + 3C^2 + B - C)
@@ -92,7 +94,8 @@ class DivPolyCache:
         return div_exact(num, P(2))
 
     def F(self, n):
-        """F_n: the defining polynomial for n >= 3 (F_2 = B^4/D as a RatPoly).
+        """F_n: the defining polynomial for n >= 3 (F_2 = B^4/D as a RatPoly,
+        built in lowest terms as B/quartic).
 
         For n >= 4, P_n = +-B^a * prod F_d over the divisors d >= 4 of n, so
         F_n is P_n with its lowest power of B shifted out, divided exactly by
@@ -104,7 +107,8 @@ class DivPolyCache:
         if n < 2:
             raise ValueError("F_n is defined for n >= 2")
         if n == 2:
-            return RatPoly(B ** 4, DISCRIMINANT)
+            # B^4 / D = B / quartic, already in lowest terms
+            return RatPoly(B, _D_COFACTOR)
         if n not in self._F:
             self._F[n] = self._F_by_divisors(n)
         return self._F[n]
@@ -130,51 +134,37 @@ class DivPolyCache:
         raise FactorizationIncomplete("F_%d is divisible by the quartic of D" % n)
 
     def factor_P_over_F(self, n):
-        """Write P_n = sign * prod F_d^{a_d} * D^{a_D} by exact trial division.
+        """Write P_n = sign * B^(a_n) * prod F_d over the divisors d >= 4 of n.
 
-        Returns (sign, exponents) where exponents maps d (int, with F_3 = B)
-        or "D" to a_d; zero exponents are omitted.  Raises
-        FactorizationIncomplete if a nonconstant cofactor survives.
+        Returns (sign, exponents) with exponents {3: a_n} (F_3 = B, a_n the
+        lowest power of B in P_n) and {d: 1} for each divisor d >= 4 of n.
+        The sign is read off the walk that F takes: P_n with B^(a_n) shifted
+        out and divided by F_d for each proper divisor 4 <= d < n must be
+        +-F_n (+-1 for n < 4).  Raises FactorizationIncomplete otherwise.
         """
         if n < 2:
             raise ValueError("factorisation is defined for n >= 2")
-        res = self.P(n)
-        exps = {}
-        quartic = _D_COFACTOR
-        beta = _strip_full(res, quartic)
-        res = beta[1]
-        alpha = _strip_full(res, B)
-        res = alpha[1]
+        p = self.P(n)
+        a = min(i for i, _ in p.terms)
+        res = div_exact(p, B ** a)
+        exps = {3: a}
         for d in range(4, n + 1):
-            cnt, res = _strip_full(res, self.F(d))
-            if cnt:
-                exps[d] = cnt
-        if not res.is_constant:
-            raise FactorizationIncomplete(
-                "nonconstant cofactor %r left for P_%d" % (res, n)
-            )
-        unit = res.constant()
-        if unit not in (1, -1):
-            raise FactorizationIncomplete(
-                "non-unit constant %d left for P_%d" % (unit, n)
-            )
-        a3 = alpha[0] - 3 * beta[0]
-        if a3:
-            exps[3] = a3
-        if beta[0]:
-            exps["D"] = beta[0]
-        return unit, exps
-
-
-def _strip_full(f, g):
-    """(multiplicity of g in f, cofactor) by repeated exact division."""
-    count = 0
-    while True:
-        try:
-            f2 = div_exact(f, g)
-        except NotDivisible:
-            return count, f
-        f, count = f2, count + 1
+            if n % d:
+                continue
+            exps[d] = 1
+            if d < n:
+                try:
+                    res = div_exact(res, self.F(d))
+                except NotDivisible:
+                    raise FactorizationIncomplete(
+                        "P_%d is not divisible by F_%d" % (n, d)
+                    ) from None
+        rest = self.F(n) if n >= 4 else ONE
+        if res == rest:
+            return 1, exps
+        if res == -rest:
+            return -1, exps
+        raise FactorizationIncomplete("P_%d is not +-B^%d times its F_d" % (n, a))
 
 
 _default_cache = DivPolyCache()

@@ -168,11 +168,7 @@ class QSeries:
 
     def agrees_with(self, other):
         """Equality of all coefficients on the common tracked window."""
-        if self.denomN != other.denomN:
-            raise ValueError("exponent denominators differ; rescale first")
-        window = min(self.precN, other.precN)
-        lo = min(self.ord, other.ord)
-        return all(self.coeff(n) == other.coeff(n) for n in range(lo, window))
+        return self.first_difference(other) is None
 
     def first_difference(self, other):
         """Lowest exponent (as a Fraction) where the two series differ on the

@@ -6,11 +6,14 @@ computed along a different path than the code under test.  The exceptions
 compose the library's series arithmetic (h_star, pow_int, inv, QSeries
 products) or its dictionary vectors (t_to_h, d_to_h, p_to_h):
 product_series_by_powers and decompose_series_greedy, the references for the
-one-pass recurrence in both directions, expand_p_expression_by_vectors, the
+one-pass recurrence in both directions, p_monomial_by_powers, the reference
+for the p-monomials of CurveExpansion, expand_p_expression_by_vectors, the
 reference for the one-pass fold, eval_poly_by_terms, the reference for
-the Horner evaluation and for the recurrence check of p_n, and
-divpoly_sequential, the reference for the top-down build of P_n, which uses
-the library's products and exact division.
+the Horner evaluation and for the recurrence check of p_n.
+divpoly_sequential, the reference for the top-down build of P_n, and
+factor_P_over_F_by_trial_division, the reference for the factorisation of
+P_n read off the divisor walk, use the library's products and exact
+division.
 """
 
 from math import gcd
@@ -92,6 +95,28 @@ def product_series_by_powers(e, precN):
         lead += ek * lead_exponent(k, N)
         fstar = fstar * h_star(k, N, precN).pow_int(ek)
     return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)
+
+
+def p_monomial_by_powers(N, precN, pairs):
+    """prod p_k^r over the (k, r) pairs by series arithmetic: each p_k its own
+    Siegel product (the zero series when k = 0 mod N), raised by the
+    library's binary powering and inversion, and multiplied in turn; the
+    reference for CurveExpansion.monomial, which folds the powers into one
+    Siegel product."""
+    from modunits.qseries import QSeries
+    from modunits.siegel import product_series
+    from modunits.unit_lattice import p_to_h
+
+    acc = QSeries.one(N, precN)
+    for k, r in pairs:
+        folded = p_to_h(k, N)
+        if folded is None:
+            pk = QSeries.zero(N, precN)
+        else:
+            sign, vec = folded
+            pk = product_series(vec, precN).to_qseries() * sign
+        acc = acc * pk.pow_int(r)
+    return acc
 
 
 def eval_poly_by_terms(expansion, f, pows=None):
@@ -258,6 +283,44 @@ def divpoly_sequential(n):
             num = P[l] * (P[l + 2] * P[l - 1] ** 2 - P[l - 2] * P[l + 1] ** 2)
             P.append(div_exact(num, P[2]))
     return P[: n + 1]
+
+
+def _strip_full(f, g):
+    """(multiplicity of g in f, cofactor) by repeated exact division."""
+    from modunits.bivar_poly import NotDivisible, div_exact
+
+    count = 0
+    while True:
+        try:
+            f2 = div_exact(f, g)
+        except NotDivisible:
+            return count, f
+        f, count = f2, count + 1
+
+
+def factor_P_over_F_by_trial_division(cache, n):
+    """P_n = sign * prod F_d^{a_d} * D^{a_D} by stripping the quartic of D, then
+    B, then every F_4..F_n as often as each divides; returns (sign, exponents)
+    with d (F_3 = B) or "D" mapped to a_d and zero exponents omitted.  The
+    reference for the closed form read off the divisor walk, which never
+    searches for a factor."""
+    from modunits.bivar_poly import B
+    from modunits.divpoly import _D_COFACTOR, FactorizationIncomplete
+
+    beta, res = _strip_full(cache.P(n), _D_COFACTOR)
+    alpha, res = _strip_full(res, B)
+    exps = {}
+    for d in range(4, n + 1):
+        cnt, res = _strip_full(res, cache.F(d))
+        if cnt:
+            exps[d] = cnt
+    if not res.is_constant or res.constant() not in (1, -1):
+        raise FactorizationIncomplete("cofactor %r left for P_%d" % (res, n))
+    if alpha - 3 * beta:
+        exps[3] = alpha - 3 * beta
+    if beta:
+        exps["D"] = beta
+    return res.constant(), exps
 
 
 def div_exact_rescan(f, g):

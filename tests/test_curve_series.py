@@ -21,8 +21,8 @@ from modunits.curve_series import (
     p_consistency_report,
 )
 from modunits.divpoly import DISCRIMINANT
-from modunits.qseries import QSeries
-from support import eval_poly_by_terms
+from modunits.qseries import QSeries, ZeroSeries
+from support import eval_poly_by_terms, p_monomial_by_powers
 
 
 @lru_cache(maxsize=None)
@@ -269,3 +269,67 @@ def test_verify_builds_each_siegel_product_once(monkeypatch):
         cli._verify_tasks(N, 15 * N, N // 2 + 2, 2, 1)
         twice = [vec.e for (vec, precN), k in built.items() if precN == 15 * N and k > 1]
         assert built and not twice, (N, twice)
+
+
+def _recurrence_pairs(n):
+    """The (k, r) factors of u and v in the recurrence for p_n, unfolded."""
+    l = n // 2
+    if n % 2:
+        return [(l + 2, 1), (l, 3)], [(l + 1, 3), (l - 1, 1)]
+    return ([(l, 1), (l + 2, 1), (l - 1, 2), (2, -1)],
+            [(l, 1), (l - 2, 1), (l + 1, 2), (2, -1)])
+
+
+def _powers(pairs):
+    out = {}
+    for k, r in pairs:
+        out[k] = out.get(k, 0) + r
+    return out
+
+
+@pytest.mark.parametrize("N", range(4, 17))
+def test_monomial_matches_series_arithmetic(N):
+    # one folded Siegel product against p_k ** r multiplied out, on the
+    # common window: c, single p_n, and the recurrence's u and v through the
+    # zero indices n = 0 mod N
+    precN = 4 * N
+    exp = expand_curve(N, precN)
+    cases = [[(4, 1), (2, -5)]] + [[(n, 1)] for n in range(1, 2 * N + 1)]
+    for n in range(5, 2 * N + 3):
+        cases.extend(_recurrence_pairs(n))
+    for pairs in cases:
+        got = exp.monomial(_powers(pairs))
+        want = p_monomial_by_powers(N, precN, pairs)
+        assert got.first_difference(want) is None, (N, pairs)
+        assert got.is_zero == want.is_zero, (N, pairs)
+        if not want.is_zero:
+            assert got.ord == want.ord and got.precN >= want.precN, (N, pairs)
+    assert exp.c == -exp.monomial({4: 1, 2: -5})
+    # p_N is the zero series: no negative power of it exists
+    with pytest.raises(ZeroSeries):
+        exp.monomial({N: -1, 1: 1})
+
+
+def test_verify_never_inverts_or_powers_a_series(monkeypatch):
+    # every verify series is one Siegel product or a Horner fold; at N = 4 the
+    # zero c comes from p_4's zero factor, not from b ** -5
+    from modunits import cli
+
+    def refuse(self, *args):
+        raise AssertionError("QSeries.inv or QSeries.pow_int called")
+
+    monkeypatch.setattr(QSeries, "inv", refuse)
+    monkeypatch.setattr(QSeries, "pow_int", refuse)
+    for N in range(4, 15):
+        reports = cli._verify_tasks(N, 15 * N, N // 2 + 2, 1, 1)
+        assert all(r["pass"] for r in reports), N
+
+
+def test_p4_at_level_4_is_a_vanishing_check():
+    # p_4 is the zero series at N = 4, so comparing P_4(b, c) with it is the
+    # vanishing check of the same value, at every precision
+    for precN in range(1, 21):
+        exp = expand_curve(4, precN)
+        lhs = exp.eval_poly(exp.divcache.P(4))
+        want = _vanishing_report("p_consistency", 4, precN, lhs, n=4)
+        assert p_consistency_report(4, 4, expansion=exp) == want, precN

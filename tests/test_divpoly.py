@@ -23,7 +23,7 @@ from modunits.divpoly import (
     DivPolyCache,
     FactorizationIncomplete,
 )
-from support import divpoly_sequential
+from support import divpoly_sequential, factor_P_over_F_by_trial_division
 
 # the printed tables, in factored form
 P_TABLE = {
@@ -223,6 +223,34 @@ def test_factor_p_over_f_reconstructs():
             assert a > 0
             prod = prod * base ** a
         assert prod == cache.P(n), "P_%d reconstruction" % n
+
+
+def test_factor_p_over_f_matches_trial_division():
+    # the closed form never searches; trial division over F_4..F_n, B and the
+    # quartic of D finds the same exponents and sign
+    cache = DivPolyCache()
+    for n in range(2, 31):
+        assert cache.factor_P_over_F(n) == factor_P_over_F_by_trial_division(cache, n), n
+
+
+def test_factor_p_over_f_rejects_a_corrupted_divisor():
+    cache = DivPolyCache()
+    cache.factor_P_over_F(12)
+    f4 = cache._F[4]
+    # a proper F_d that does not divide P_n stops the walk
+    cache._F[4] = C + 1
+    with pytest.raises(FactorizationIncomplete):
+        cache.factor_P_over_F(12)
+    # one that divides but is not F_4 leaves a cofactor other than +-F_12
+    cache._F[4] = ONE
+    with pytest.raises(FactorizationIncomplete):
+        cache.factor_P_over_F(12)
+    # a multiple of F_4 takes more than P_12 has
+    cache._F[4] = f4 * B
+    with pytest.raises(FactorizationIncomplete):
+        cache.factor_P_over_F(12)
+    cache._F[4] = f4
+    assert cache.factor_P_over_F(12) == (-1, {3: 48, 4: 1, 6: 1, 12: 1})
 
 
 def test_range_guard():
