@@ -12,16 +12,28 @@ exponent dictionary, and that D(b, c) agrees with d.
 
 Polynomials are evaluated by Horner in C.  The p_n check evaluates P_n only
 for n <= 4.  For n >= 5 it checks that the p_n series satisfy the
-division-polynomial recurrence that builds P_n (divpoly.DivPolyCache), each
-side one Siegel product; by induction on n this is equivalent to
+division-polynomial recurrence p_n = u - v that builds P_n
+(divpoly.DivPolyCache); by induction on n this is equivalent to
 P_n(b, c) = p_n, without the powers of b up to deg_B P_n.
+
+The recurrence is checked as a unit equation, divided by r = p_n (r = 1 when
+n = 0 mod N and p_n is the zero series): q^(s/N) p_n / r against
+q^(s/N) (u/r - v/r), each term one Siegel product, with s/N the leading
+exponent of r.  The divided exponent vectors are small (at N = 14, u/p_9 has
+(-3, 0, 0, 3, -1, 1, 0) against (156, -240, 80, 3, 0, 1, 0) for u), so the
+series recurrence runs on few-bit integers, and the shift by q^(s/N) keeps
+the window and the first failing exponent those of p_n against u - v.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+
 from . import divpoly
 from .qseries import QSeries, ZeroSeries
-from .siegel import product_series
+from .siegel import product_lead_exponent, product_series
 from .unit_lattice import ExpVector, d_to_h, p_to_h, v_to_h
 
 __all__ = [
@@ -42,10 +54,12 @@ class PhaseNotRational(ArithmeticError):
     """A series that must be rational carried an odd power of i."""
 
 
-def _resolve(sign, sp):
-    """sign * SiegelProduct -> plain rational QSeries."""
+def _resolve(sign, sp, shift=0):
+    """sign * q^(shift/N) * SiegelProduct -> plain rational QSeries."""
     if sp.ipow % 2:
         raise PhaseNotRational("power of i is %d" % sp.ipow)
+    if shift:
+        sp = replace(sp, leadExp=sp.leadExp + Fraction(shift, sp.N))
     return sp.to_qseries() * sign
 
 
@@ -78,12 +92,12 @@ class CurveExpansion:
             self._products[vec] = product_series(vec, self.precN)
         return self._products[vec]
 
-    def monomial(self, powers):
-        """prod p_k^r over the (k, r) items of powers, as one Siegel product of
-        sum r*vec_k with sign prod s_k^(r mod 2).  When a factor p_k with
-        k = 0 mod N occurs, the result is the zero series to precN times the
-        product of the other factors; a negative power of one raises
-        ZeroSeries."""
+    def monomial(self, powers, shift=0):
+        """q^(shift/N) prod p_k^r over the (k, r) items of powers, as one
+        Siegel product of sum r*vec_k with sign prod s_k^(r mod 2).  When a
+        factor p_k with k = 0 mod N occurs, the result is the zero series to
+        precN times the product of the other factors; a negative power of one
+        raises ZeroSeries."""
         N = self.N
         sign, e, vanishes = 1, [0] * (N // 2), False
         for k, r in powers.items():
@@ -100,7 +114,7 @@ class CurveExpansion:
                 sign *= s
             for i, x in enumerate(vec.e):
                 e[i] += r * x
-        rest = _resolve(sign, self.product(ExpVector(N, e)))
+        rest = _resolve(sign, self.product(ExpVector(N, e)), shift)
         return QSeries.zero(N, self.precN) * rest if vanishes else rest
 
     def p(self, n):
@@ -182,23 +196,44 @@ def check_defining_equation(N, precN=None):
     return defining_equation_report(N, precN)["pass"]
 
 
+def _divisor(N, n):
+    """The unit r that the check of p_n divides by, as a power dict, and
+    s = N * leadExp(r), read off the exponent vector: r = p_n, or r = 1 (the
+    empty dict, s = 0) when n = 0 mod N and p_n is the zero series."""
+    folded = p_to_h(n, N)
+    if folded is None:
+        return {}, 0
+    # p_n lies on the q^(1/N) grid, so s is an integer
+    return {n: 1}, int(N * product_lead_exponent(folded[1]))
+
+
+def _over(powers, r):
+    """The power dict of prod p_k^r over powers, divided by the monomial r."""
+    out = Counter(powers)
+    out.subtract(r)
+    return out
+
+
 def _recurrence_series(expansion, n):
-    """p_n rebuilt from p_1..p_{n-1} by the division-polynomial recurrence,
-    n >= 5: u - v with u = p_{l+2} p_l^3, v = p_{l+1}^3 p_{l-1} for n = 2l+1,
-    and u = p_l p_{l+2} p_{l-1}^2 / p_2, v = p_l p_{l-2} p_{l+1}^2 / p_2 for
-    n = 2l.  A monomial with a zero factor (the zero series) is dropped."""
+    """The right side of the check of p_n, n >= 5: q^(s/N) (u - v) / r with
+    (r, s) = _divisor(N, n), where u - v is the division-polynomial
+    recurrence on p_1..p_{n-1}: u = p_{l+2} p_l^3, v = p_{l+1}^3 p_{l-1} for
+    n = 2l+1, and u = p_l p_{l+2} p_{l-1}^2 / p_2, v = p_l p_{l-2} p_{l+1}^2 / p_2
+    for n = 2l.  Each term is one Siegel product; a monomial with a zero
+    factor (the zero series) is dropped."""
+    r, s = _divisor(expansion.N, n)
     l = n // 2
     if n % 2:
         monomials = ({l + 2: 1, l: 3}, {l + 1: 3, l - 1: 1})
     else:
-        monomials = ({l: 1, l + 2: 1, l - 1: 2}, {l: 1, l - 2: 1, l + 1: 2})
-        for powers in monomials:
-            # l - 1 or l - 2 can be 2 itself
-            powers[2] = powers.get(2, 0) - 1
-    u, v = (expansion.monomial(pw) for pw in monomials)
+        # l - 1 or l - 2 can be 2 itself
+        monomials = (_over({l: 1, l + 2: 1, l - 1: 2}, {2: 1}),
+                     _over({l: 1, l - 2: 1, l + 1: 2}, {2: 1}))
+    u, v = (expansion.monomial(_over(pw, r), s) for pw in monomials)
     terms = [(sign, mono) for sign, mono in ((1, u), (-1, v)) if not mono.is_zero]
     if not terms:
-        return QSeries.zero(expansion.N, expansion.p(n).precN)
+        # zero at the precision of the left side q^(s/N) p_n / r
+        return QSeries.zero(expansion.N, expansion.precN + s)
     return _combination(terms)
 
 
@@ -210,13 +245,20 @@ def p_consistency_report(N, n, precN=None, expansion=None):
     n >= 5 the p_n series is compared with the division-polynomial recurrence
     applied to the p_1..p_{n-1} series; since P_n is built by that same
     recurrence, this is equivalent to P_n(b, c) = p_n once the lower indices
-    are checked.
+    are checked.  That comparison is made as the unit equation
+    q^(s/N) p_n / r = q^(s/N) (u - v) / r of _recurrence_series: with r = p_n
+    the left side is q^(s/N), the shifted constant 1, and no p_n series is
+    built.  Dividing by the unit r = q^(s/N) (+-1 + ...) keeps the lowest
+    exponent of every difference, and the shift puts the window back on p_n's
+    exponents, so the window, the verdict and the first failing exponent are
+    those of p_n against u - v.
     """
     if expansion is None:
         expansion = expand_curve(N, precN)
     if n >= 5:
+        r, s = _divisor(N, n)
         return _agreement_report(
-            "p_consistency", N, expansion.precN, expansion.p(n),
+            "p_consistency", N, expansion.precN, expansion.monomial(_over({n: 1}, r), s),
             _recurrence_series(expansion, n), n=n,
         )
     lhs = expansion.eval_poly(expansion.divcache.P(n))

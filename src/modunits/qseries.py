@@ -88,7 +88,9 @@ class QSeries:
     def __init__(self, denomN, ord, coeffs, precN):
         if denomN < 1:
             raise ValueError("denomN must be a positive integer")
-        coeffs = [_norm_coeff(c) for c in coeffs]
+        coeffs = list(coeffs)
+        if not _is_int(coeffs):
+            coeffs = [_norm_coeff(c) for c in coeffs]
         if ord + len(coeffs) != precN:
             raise ValueError("ord + len(coeffs) must equal precN")
         # normalised truncation: leading coefficient nonzero, or empty window

@@ -39,6 +39,7 @@ __all__ = [
     "SiegelProduct",
     "h_star",
     "lead_exponent",
+    "product_lead_exponent",
     "fold_index",
     "product_series",
 ]
@@ -190,6 +191,18 @@ class SiegelProduct:
         }
 
 
+def product_lead_exponent(e):
+    """The leading q-exponent of the product over k of the (k/N, 0) Siegel
+    functions to the powers e(k): the sum of e(k) * lead_exponent(k, N), read
+    off the exponent vector without building the series."""
+    N = e.N
+    # ek * lead_exponent(k, N) = ek * (6k^2 - 6kN + N^2) / (12N^2)
+    return Fraction(
+        sum(ek * (6 * k * (k - N) + N * N) for k, ek in enumerate(e.e, start=1) if ek),
+        12 * N * N,
+    )
+
+
 def product_series(e, precN):
     """The product over k of the (k/N, 0) Siegel functions to the powers e(k),
     as a SiegelProduct at the requested precision; the reduced part comes from
@@ -197,9 +210,5 @@ def product_series(e, precN):
     """
     N = e.N
     powers = [(k, ek) for k, ek in enumerate(e.e, start=1) if ek]
-    # sum of ek * lead_exponent(k, N) = ek * (6k^2 - 6kN + N^2) / (12N^2)
-    lead = Fraction(
-        sum(ek * (6 * k * (k - N) + N * N) for k, ek in powers), 12 * N * N
-    )
     fstar = _reduced_series(N, powers, precN)
-    return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)
+    return SiegelProduct(N, sum(e.e) % 4, Fraction(1), product_lead_exponent(e), fstar, e)

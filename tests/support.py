@@ -9,7 +9,9 @@ product_series_by_powers and decompose_series_greedy, the references for the
 one-pass recurrence in both directions, p_monomial_by_powers, the reference
 for the p-monomials of CurveExpansion, expand_p_expression_by_vectors, the
 reference for the one-pass fold, eval_poly_by_terms, the reference for
-the Horner evaluation and for the recurrence check of p_n.
+the Horner evaluation and for the recurrence check of p_n, and
+p_consistency_undivided, the reference for the unit-equation form of that
+check, which builds u and v as undivided Siegel products.
 divpoly_sequential, the reference for the top-down build of P_n, and
 factor_P_over_F_by_trial_division, the reference for the factorisation of
 P_n read off the divisor walk, use the library's products and exact
@@ -151,6 +153,42 @@ def eval_poly_by_terms(expansion, f, pows=None):
         term = term * coeff
         acc = term if acc is None else acc + term
     return acc
+
+
+def recurrence_pairs(n):
+    """The (k, r) factors of u and v in the division-polynomial recurrence
+    p_n = u - v, n >= 5, unfolded."""
+    l = n // 2
+    if n % 2:
+        return [(l + 2, 1), (l, 3)], [(l + 1, 3), (l - 1, 1)]
+    return ([(l, 1), (l + 2, 1), (l - 1, 2), (2, -1)],
+            [(l, 1), (l - 2, 1), (l + 1, 2), (2, -1)])
+
+
+def p_consistency_undivided(expansion, n):
+    """The report of the p_n check made without dividing by p_n: for n >= 5
+    the p_n series against u - v, each monomial one undivided Siegel product
+    (a zero one dropped); for n <= 4, P_n evaluated term by term against p_n.
+    When n = 0 mod N it is the vanishing check of that value instead.  The
+    reference for the unit-equation form of p_consistency_report."""
+    from modunits.curve_series import _agreement_report, _combination, _vanishing_report
+    from modunits.qseries import QSeries
+
+    N, precN = expansion.N, expansion.precN
+    if n >= 5:
+        monomials = []
+        for pairs in recurrence_pairs(n):
+            powers = {}
+            for k, r in pairs:
+                powers[k] = powers.get(k, 0) + r
+            monomials.append(expansion.monomial(powers))
+        terms = [(sign, mono) for sign, mono in zip((1, -1), monomials) if not mono.is_zero]
+        value = _combination(terms) if terms else QSeries.zero(N, expansion.p(n).precN)
+    else:
+        value = eval_poly_by_terms(expansion, expansion.divcache.P(n))
+    if n % N == 0:
+        return _vanishing_report("p_consistency", N, precN, value, n=n)
+    return _agreement_report("p_consistency", N, precN, expansion.p(n), value, n=n)
 
 
 def decompose_series_greedy(fstar, N):

@@ -176,6 +176,18 @@ def test_verify_stdout_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_4_10_SHA256
 
 
+# sha256 of the stdout of `modunits verify --N 4..12 --nmax 36 --trials 2
+# --seed 1`, which reaches the checks at n = 0 mod N up to n = 3N; as printed
+# when the p_n checks compared p_n with the undivided recurrence
+VERIFY_4_12_NMAX_36_SHA256 = "76bd8413d1be2d5209260680ed4f7cc7c0f5fd13f91ad7bd3b80ebde4dc34d6e"
+
+
+def test_verify_nmax_stdout_pinned():
+    code, text = run_cli("verify", "--N", "4..12", "--nmax", "36", "--trials", "2", "--seed", "1")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_4_12_NMAX_36_SHA256
+
+
 def test_random_vector_in_S_lands_near_the_box():
     import random
 

@@ -22,7 +22,12 @@ from modunits.curve_series import (
 )
 from modunits.divpoly import DISCRIMINANT
 from modunits.qseries import QSeries, ZeroSeries
-from support import eval_poly_by_terms, p_monomial_by_powers
+from support import (
+    eval_poly_by_terms,
+    p_consistency_undivided,
+    p_monomial_by_powers,
+    recurrence_pairs,
+)
 
 
 @lru_cache(maxsize=None)
@@ -199,19 +204,78 @@ def test_recurrence_window_at_verify_precision():
             assert _window(exp.p(n), rhs) >= _window(exp.p(n), value), (N, n)
 
 
+def _vector(N, powers):
+    """The exponent vector of prod p_k^r over the items of powers."""
+    from modunits.unit_lattice import ExpVector, p_to_h
+
+    vec = ExpVector.zero(N)
+    for k, r in powers.items():
+        vec = vec + p_to_h(k, N)[1].scale(r)
+    return vec
+
+
 def test_p_consistency_fails_on_perturbed_series():
-    for N, n in ((7, 5), (9, 6), (10, 8), (11, 7), (6, 6), (5, 10)):
+    # the check of p_n, n != 0 mod N, reads u / p_n as one memoized Siegel
+    # product: one coefficient of it inside the compared window, above its
+    # leading term, fails the check at that exponent in p_n's frame, where u
+    # starts.  In each case v is nonzero too: were it the zero series, u would
+    # be p_n and u / p_n the constant 1 that the left side reads as well
+    from dataclasses import replace
+
+    for N, n in ((7, 5), (9, 6), (10, 8), (11, 7), (6, 7), (8, 9)):
         exp = expand_curve(N, 6 * N)
         assert p_consistency_report(N, n, expansion=exp)["pass"]
-        good = exp.p(n)
-        # one coefficient inside the compared window, above the leading term
-        e = (good.ord if good.coeffs else 0) + 2
-        terms = {k: good.coeff(k) for k in range(good.ord, good.precN)}
-        terms[e] = terms.get(e, 0) + 1
-        exp._pcache[n] = QSeries.from_terms(N, terms, good.precN)
+        powers = _powers(recurrence_pairs(n)[0])
+        e = exp.monomial(powers).ord + 2
+        powers[n] = -1
+        vec = _vector(N, powers)
+        good = exp._products[vec]
+        coeffs = list(good.fstar.coeffs)
+        coeffs[2] += 1
+        exp._products[vec] = replace(good, fstar=QSeries(N, 0, coeffs, good.fstar.precN))
         report = p_consistency_report(N, n, expansion=exp)
         assert not report["pass"], (N, n)
         assert report["firstFailingExponent"] == str(Fraction(e, N)), (N, n)
+    # when n = 0 mod N the check divides by 1 and u, v are one Siegel product
+    # (one vector), so no product it reads can be corrupted apart; at N = 5,
+    # n = 10 both carry the zero factor p_5 and it compares zero with zero
+    # (ROADMAP, known defects)
+    for N, n in ((6, 6), (5, 5)):
+        u, v = (_vector(N, _powers(pairs)) for pairs in recurrence_pairs(n))
+        assert u == v, (N, n)
+        assert p_consistency_report(N, n, 6 * N)["pass"], (N, n)
+    assert p_consistency_report(5, 10, 30)["pass"]
+
+
+def test_p_consistency_fails_on_corrupted_dictionary(monkeypatch):
+    # p_to_h gives the check its divisor p_n and the factors of u and v:
+    # handing one index the vector of p_{k+N}, a different unit, fails it,
+    # also at n = 0 mod N when the index is a factor of u alone
+    from modunits import curve_series
+
+    real = curve_series.p_to_h
+    for N, n, k in ((7, 5, 5), (9, 6, 6), (10, 8, 8), (11, 7, 7), (6, 7, 7), (5, 9, 9),
+                    (6, 6, 5), (5, 5, 4)):
+        assert p_consistency_report(N, n, 6 * N)["pass"], (N, n)
+        monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
+        report = p_consistency_report(N, n, 6 * N)
+        monkeypatch.setattr(curve_series, "p_to_h", real)
+        assert not report["pass"] and "firstFailingExponent" in report, (N, n, k)
+
+
+@pytest.mark.parametrize("N", range(4, 15))
+def test_divided_check_matches_undivided_oracle(N):
+    # dividing by p_n and shifting back by its leading exponent leaves every
+    # report as comparing p_n with u - v gives it, the vanishing checks at
+    # n = 0 mod N included
+    cases = [(2 * N, range(1, 3 * N + 1)), (15 * N, range(1, N // 2 + 3))]
+    if 6 <= N <= 9:
+        cases += [(precN, range(1, 13)) for precN in range(1, 7)]
+    for precN, ns in cases:
+        exp = expand_curve(N, precN)
+        for n in ns:
+            want = p_consistency_undivided(exp, n)
+            assert p_consistency_report(N, n, expansion=exp) == want, (precN, n)
 
 
 def test_c_is_one_siegel_product():
@@ -271,15 +335,6 @@ def test_verify_builds_each_siegel_product_once(monkeypatch):
         assert built and not twice, (N, twice)
 
 
-def _recurrence_pairs(n):
-    """The (k, r) factors of u and v in the recurrence for p_n, unfolded."""
-    l = n // 2
-    if n % 2:
-        return [(l + 2, 1), (l, 3)], [(l + 1, 3), (l - 1, 1)]
-    return ([(l, 1), (l + 2, 1), (l - 1, 2), (2, -1)],
-            [(l, 1), (l - 2, 1), (l + 1, 2), (2, -1)])
-
-
 def _powers(pairs):
     out = {}
     for k, r in pairs:
@@ -296,7 +351,7 @@ def test_monomial_matches_series_arithmetic(N):
     exp = expand_curve(N, precN)
     cases = [[(4, 1), (2, -5)]] + [[(n, 1)] for n in range(1, 2 * N + 1)]
     for n in range(5, 2 * N + 3):
-        cases.extend(_recurrence_pairs(n))
+        cases.extend(recurrence_pairs(n))
     for pairs in cases:
         got = exp.monomial(_powers(pairs))
         want = p_monomial_by_powers(N, precN, pairs)

@@ -32,6 +32,34 @@ def test_mul_precision_rule():
     assert prod.coeffs == (3,)
 
 
+def test_init_normalises_fraction_coefficients():
+    f = QSeries(3, 0, [Fraction(8, 2), Fraction(4, 2), Fraction(1, 2), 5], 4)
+    assert f.coeffs == (4, 2, Fraction(1, 2), 5)
+    assert type(f.coeffs[0]) is int and type(f.coeffs[1]) is int
+
+
+def test_init_accepts_generators():
+    f = QSeries(2, 1, (c for c in [0, 3, 6]), 4)
+    assert f.ord == 2 and f.coeffs == (3, 6)
+    g = QSeries(2, 1, (c for c in [0, Fraction(6, 3), Fraction(1, 3)]), 4)
+    assert g.ord == 2 and g.coeffs == (2, Fraction(1, 3)) and type(g.coeffs[0]) is int
+
+
+def test_int_windows_skip_coefficient_normalisation(monkeypatch):
+    from modunits.siegel import product_series
+    from modunits.unit_lattice import p_to_h
+
+    calls = []
+    real = qseries._norm_coeff
+    monkeypatch.setattr(qseries, "_norm_coeff", lambda c: calls.append(c) or real(c))
+    sign, vec = p_to_h(5, 14)
+    product_series(vec, 210).to_qseries()
+    assert not calls
+    # a window with a Fraction in it still goes through the normalisation
+    QSeries(3, 0, [1, Fraction(4, 2)], 2)
+    assert calls == [1, Fraction(2)]
+
+
 def test_inv_geometric():
     f = QSeries.from_terms(7, {0: 1, 1: -1}, 9)
     assert f.inv() == geometric(7, 9)
