@@ -7,8 +7,19 @@ d is the series of (t h_{(1/N,0)})^12.  Every product of powers of the p_k
 one Siegel product, built by CurveExpansion.monomial; a factor p_k with
 k = 0 mod N makes it the zero series, which is how c vanishes at N = 4, with
 no branch for that level.  The checks verify, to the tracked precision, that
-F_N(b, c) vanishes, that P_n(b, c) agrees with the p_n series coming from the
-exponent dictionary, and that D(b, c) agrees with d.
+P_n(b, c) agrees with the p_n series coming from the exponent dictionary and
+that D(b, c) agrees with d.
+
+Two checks follow from exact identities and build no series on success.
+F_N(b, c) = 0 is derived as in the paper's proof: the p-checks give
+P_k(b, c) = p_k at every index k < N that the recursion for P_N reaches, u
+and v of the recurrence at n = N fold to one unit, so P_N(b, c) = 0, and
+P_N = +-B^(a_N) prod F_d with every other factor a unit at (b, c).  It
+holds to the precision those p-checks compared; a proof of each would make
+it exact.  At N = 4 it is tautological (F_4 = C and c is exactly zero) and
+passes when the p-check of n = 4 does and c's window is not empty.
+p_{m+1} = v p_partner is decided on the exponent vectors, and holds exactly
+when they add up with equal signs.
 
 Polynomials are evaluated by Horner in C.  The p_n check evaluates P_n only
 for n <= 4.  For n >= 5 it checks that the p_n series satisfy the
@@ -16,13 +27,14 @@ division-polynomial recurrence p_n = u - v that builds P_n
 (divpoly.DivPolyCache); by induction on n this is equivalent to
 P_n(b, c) = p_n, without the powers of b up to deg_B P_n.
 
-The recurrence is checked as a unit equation, divided by r = p_n (r = 1 when
-n = 0 mod N and p_n is the zero series): q^(s/N) p_n / r against
-q^(s/N) (u/r - v/r), each term one Siegel product, with s/N the leading
-exponent of r.  The divided exponent vectors are small (at N = 14, u/p_9 has
-(-3, 0, 0, 3, -1, 1, 0) against (156, -240, 80, 3, 0, 1, 0) for u), so the
-series recurrence runs on few-bit integers, and the shift by q^(s/N) keeps
-the window and the first failing exponent those of p_n against u - v.
+For n != 0 mod N the recurrence is checked as a unit equation, divided by
+r = p_n: q^(s/N) p_n / r against q^(s/N) (u/r - v/r), each term one Siegel
+product, with s/N the leading exponent of r.  The divided exponent vectors
+are small (at N = 14, u/p_9 has (-3, 0, 0, 3, -1, 1, 0) against
+(156, -240, 80, 3, 0, 1, 0) for u), so the series recurrence runs on
+few-bit integers, and the shift by q^(s/N) keeps the window and the first
+failing exponent those of p_n against u - v.  For n = 0 mod N, where p_n is
+the zero series, u - v = 0 is decided on the folded vectors.
 """
 
 from __future__ import annotations
@@ -55,18 +67,20 @@ class PhaseNotRational(ArithmeticError):
 
 
 def _resolve(sign, sp, shift=0):
-    """sign * q^(shift/N) * SiegelProduct -> plain rational QSeries."""
+    """sign * q^(shift/N) * SiegelProduct -> plain rational QSeries, built in
+    one pass: the sign joins the product's scalar and the shift its leading
+    exponent."""
     if sp.ipow % 2:
         raise PhaseNotRational("power of i is %d" % sp.ipow)
-    if shift:
-        sp = replace(sp, leadExp=sp.leadExp + Fraction(shift, sp.N))
-    return sp.to_qseries() * sign
+    return replace(
+        sp, scalar=sign * sp.scalar, leadExp=sp.leadExp + Fraction(shift, sp.N)
+    ).to_qseries()
 
 
 class CurveExpansion:
     """Series data for one level; immutable after construction apart from the
-    caches _products (Siegel products by exponent vector), _pcache (p_n) and
-    _bpows (powers of b)."""
+    caches _products (Siegel products by exponent vector), _pcache (p_n),
+    _bpows (powers of b) and _preports (p-check reports)."""
 
     def __init__(self, N, precN, divcache=None):
         if N < 4:
@@ -78,6 +92,7 @@ class CurveExpansion:
         self.divcache = divcache if divcache is not None else divpoly._default_cache
         self._products = {}
         self._pcache = {}
+        self._preports = {}
         self.b = -self.p(2)
         # c = p_4 / b^5 = -p_4 / p_2^5 (the zero series at N = 4)
         self.c = -self.monomial({4: 1, 2: -5})
@@ -92,12 +107,12 @@ class CurveExpansion:
             self._products[vec] = product_series(vec, self.precN)
         return self._products[vec]
 
-    def monomial(self, powers, shift=0):
-        """q^(shift/N) prod p_k^r over the (k, r) items of powers, as one
-        Siegel product of sum r*vec_k with sign prod s_k^(r mod 2).  When a
-        factor p_k with k = 0 mod N occurs, the result is the zero series to
-        precN times the product of the other factors; a negative power of one
-        raises ZeroSeries."""
+    def fold(self, powers):
+        """Fold prod p_k^r over the (k, r) items of powers to (vanishes, sign,
+        vec): the exponent vector sum r*vec_k and the sign prod s_k^(r mod 2)
+        of the factors with k != 0 mod N, and whether a factor p_k with
+        k = 0 mod N (the zero series) occurs.  A negative power of such a
+        factor raises ZeroSeries."""
         N = self.N
         sign, e, vanishes = 1, [0] * (N // 2), False
         for k, r in powers.items():
@@ -114,14 +129,28 @@ class CurveExpansion:
                 sign *= s
             for i, x in enumerate(vec.e):
                 e[i] += r * x
-        rest = _resolve(sign, self.product(ExpVector(N, e)), shift)
-        return QSeries.zero(N, self.precN) * rest if vanishes else rest
+        return vanishes, sign, ExpVector(N, e)
+
+    def monomial(self, powers, shift=0):
+        """q^(shift/N) prod p_k^r over the (k, r) items of powers, as the one
+        Siegel product that fold gives.  When a factor p_k with k = 0 mod N
+        occurs, the result is the zero series to precN times the product of
+        the other factors."""
+        vanishes, sign, vec = self.fold(powers)
+        rest = _resolve(sign, self.product(vec), shift)
+        return QSeries.zero(self.N, self.precN) * rest if vanishes else rest
 
     def p(self, n):
         """The p_n series (zero to precision when n = 0 mod N)."""
         if n not in self._pcache:
             self._pcache[n] = self.monomial({n: 1})
         return self._pcache[n]
+
+    def p_report(self, n):
+        """p_consistency_report(N, n) on this expansion, made once."""
+        if n not in self._preports:
+            self._preports[n] = p_consistency_report(self.N, n, expansion=self)
+        return self._preports[n]
 
     def _bpow(self, i):
         while len(self._bpows) <= i:
@@ -165,13 +194,8 @@ def expand_curve(N, precN=None, divcache=None):
     return CurveExpansion(N, precN, divcache)
 
 
-def _agreement_report(check, N, precN, lhs, rhs, n=None):
-    """Compare lhs and rhs on their common window, from the lower of exponent
-    0 and their first tracked exponents up to the lower precision.  A check
-    whose window holds no exponent compares nothing and does not pass."""
-    bad = lhs.first_difference(rhs)
-    window = min(lhs.precN, rhs.precN) - min(0, lhs.ord, rhs.ord)
-    report = {"check": check, "N": N, "precN": precN, "pass": bad is None and window > 0}
+def _report(check, N, precN, holds, n=None, bad=None):
+    report = {"check": check, "N": N, "precN": precN, "pass": holds}
     if n is not None:
         report["n"] = n
     if bad is not None:
@@ -179,17 +203,52 @@ def _agreement_report(check, N, precN, lhs, rhs, n=None):
     return report
 
 
-def _vanishing_report(check, N, precN, qs, n=None):
-    return _agreement_report(check, N, precN, qs, QSeries.zero(N, qs.precN), n=n)
+def _agreement_report(check, N, precN, lhs, rhs, n=None):
+    """Compare lhs and rhs on their common window, from the lower of exponent
+    0 and their first tracked exponents up to the lower precision.  A check
+    whose window holds no exponent compares nothing and does not pass."""
+    bad = lhs.first_difference(rhs)
+    window = min(lhs.precN, rhs.precN) - min(0, lhs.ord, rhs.ord)
+    return _report(check, N, precN, bad is None and window > 0, n, bad)
+
+
+def _exact_report(check, N, precN, holds, locate=None, n=None):
+    """The report of a check decided by an exact identity.  When it fails and
+    locate is given, locate() returns the two series the identity equates,
+    and their first difference in the tracked window, if any, is reported as
+    the first failing exponent."""
+    if holds or locate is None:
+        return _report(check, N, precN, holds, n)
+    lhs, rhs = locate()
+    return _report(check, N, precN, False, n, lhs.first_difference(rhs))
 
 
 def defining_equation_report(N, precN=None, expansion=None):
-    """F_N(b, c) = O(q^(precN/N))."""
+    """F_N(b, c) = 0, derived from the p-checks; F_N is not built.
+
+    For N >= 5 the check holds when the p-checks pass at every index below N
+    that the top-down recursion for P_N reaches (_reached), so that
+    P_k(b, c) = p_k there, and when at n = N the recurrence's u and v fold to
+    one unit, so that P_N(b, c) = u - v = 0.  Since P_N = +-B^(a_N) prod F_d
+    over the divisors d >= 4 of N, b = -p_2 is a unit and each F_d with d < N
+    divides P_d, whose value p_d is a unit, F_N(b, c) = 0 follows.  It holds
+    to the precision those p-checks compared.
+
+    At N = 4, P_4 = C B^5 is a base case and F_4(b, c) = c, exactly zero (p_4
+    is a zero factor of c) and known below q^(c.precN/4).  The check rests on
+    the p-check of n = 4 and, like any series check, fails when that window
+    holds no exponent.  A failing report names no exponent: the failing
+    p-check does.
+    """
     if expansion is None:
         expansion = expand_curve(N, precN)
-    fn = expansion.divcache.F(N)
-    value = expansion.eval_poly(fn)
-    return _vanishing_report("defining_equation", N, expansion.precN, value)
+    if N == 4:
+        holds = expansion.c.precN > 0 and expansion.p_report(4)["pass"]
+    else:
+        holds = _same_unit(expansion, N) and all(
+            expansion.p_report(k)["pass"] for k in _reached(N)
+        )
+    return _exact_report("defining_equation", N, expansion.precN, holds)
 
 
 def check_defining_equation(N, precN=None):
@@ -214,22 +273,49 @@ def _over(powers, r):
     return out
 
 
-def _recurrence_series(expansion, n):
-    """The right side of the check of p_n, n >= 5: q^(s/N) (u - v) / r with
-    (r, s) = _divisor(N, n), where u - v is the division-polynomial
-    recurrence on p_1..p_{n-1}: u = p_{l+2} p_l^3, v = p_{l+1}^3 p_{l-1} for
-    n = 2l+1, and u = p_l p_{l+2} p_{l-1}^2 / p_2, v = p_l p_{l-2} p_{l+1}^2 / p_2
-    for n = 2l.  Each term is one Siegel product; a monomial with a zero
-    factor (the zero series) is dropped."""
-    r, s = _divisor(expansion.N, n)
+def _recurrence_powers(n):
+    """The power dicts of u and v in the division-polynomial recurrence
+    p_n = u - v on p_1..p_{n-1}, n >= 5: u = p_{l+2} p_l^3, v = p_{l+1}^3 p_{l-1}
+    for n = 2l+1, and u = p_l p_{l+2} p_{l-1}^2 / p_2, v = p_l p_{l-2} p_{l+1}^2 / p_2
+    for n = 2l.  Their keys are the indices DivPolyCache._compute reads for
+    P_n (2 among them for even n, with power 0 when l - 2 = 2)."""
     l = n // 2
     if n % 2:
-        monomials = ({l + 2: 1, l: 3}, {l + 1: 3, l - 1: 1})
-    else:
-        # l - 1 or l - 2 can be 2 itself
-        monomials = (_over({l: 1, l + 2: 1, l - 1: 2}, {2: 1}),
-                     _over({l: 1, l - 2: 1, l + 1: 2}, {2: 1}))
-    u, v = (expansion.monomial(_over(pw, r), s) for pw in monomials)
+        return {l + 2: 1, l: 3}, {l + 1: 3, l - 1: 1}
+    # l - 1 or l - 2 can be 2 itself
+    return (_over({l: 1, l + 2: 1, l - 1: 2}, {2: 1}),
+            _over({l: 1, l - 2: 1, l + 1: 2}, {2: 1}))
+
+
+def _reached(N):
+    """The indices 1 <= k < N that the top-down recursion for P_N reaches,
+    N >= 5; each is at most N//2 + 2, so verify checks them at its default
+    --nmax."""
+    seen, todo = set(), [N]
+    while todo:
+        n = todo.pop()
+        if n >= 5:
+            for k in set().union(*_recurrence_powers(n)) - seen:
+                seen.add(k)
+                todo.append(k)
+    return sorted(seen)
+
+
+def _same_unit(expansion, n):
+    """Whether u and v of the recurrence for p_n fold to one term: both the
+    zero series, or one exponent vector with one sign, so u - v = 0
+    exactly."""
+    u, v = (expansion.fold(pw) for pw in _recurrence_powers(n))
+    return (u[0] and v[0]) or u == v
+
+
+def _recurrence_series(expansion, n):
+    """The right side of the check of p_n, n >= 5: q^(s/N) (u - v) / r with
+    (r, s) = _divisor(N, n) and u, v from _recurrence_powers.  Each term is
+    one Siegel product; a monomial with a zero factor (the zero series) is
+    dropped."""
+    r, s = _divisor(expansion.N, n)
+    u, v = (expansion.monomial(_over(pw, r), s) for pw in _recurrence_powers(n))
     terms = [(sign, mono) for sign, mono in ((1, u), (-1, v)) if not mono.is_zero]
     if not terms:
         # zero at the precision of the left side q^(s/N) p_n / r
@@ -245,22 +331,31 @@ def p_consistency_report(N, n, precN=None, expansion=None):
     n >= 5 the p_n series is compared with the division-polynomial recurrence
     applied to the p_1..p_{n-1} series; since P_n is built by that same
     recurrence, this is equivalent to P_n(b, c) = p_n once the lower indices
-    are checked.  That comparison is made as the unit equation
-    q^(s/N) p_n / r = q^(s/N) (u - v) / r of _recurrence_series: with r = p_n
-    the left side is q^(s/N), the shifted constant 1, and no p_n series is
-    built.  Dividing by the unit r = q^(s/N) (+-1 + ...) keeps the lowest
-    exponent of every difference, and the shift puts the window back on p_n's
-    exponents, so the window, the verdict and the first failing exponent are
-    those of p_n against u - v.
+    are checked.  For n != 0 mod N that comparison is made as the unit
+    equation q^(s/N) p_n / r = q^(s/N) (u - v) / r of _recurrence_series:
+    with r = p_n the left side is q^(s/N), the shifted constant 1, and no p_n
+    series is built.  Dividing by the unit r = q^(s/N) (+-1 + ...) keeps the
+    lowest exponent of every difference, and the shift puts the window back
+    on p_n's exponents, so the window, the verdict and the first failing
+    exponent are those of p_n against u - v.
+
+    For n = 0 mod N, p_n is the zero series and u - v = 0 is decided exactly
+    (_same_unit): u and v either both carry a zero factor or fold to one
+    unit.  A failure is located by comparing the zero series with u - v.
+    This report is not memoised; CurveExpansion.p_report is.
     """
     if expansion is None:
         expansion = expand_curve(N, precN)
     if n >= 5:
         r, s = _divisor(N, n)
-        return _agreement_report(
-            "p_consistency", N, expansion.precN, expansion.monomial(_over({n: 1}, r), s),
-            _recurrence_series(expansion, n), n=n,
-        )
+
+        def compared():
+            return expansion.monomial(_over({n: 1}, r), s), _recurrence_series(expansion, n)
+
+        if not r:
+            return _exact_report("p_consistency", N, expansion.precN,
+                                 _same_unit(expansion, n), compared, n=n)
+        return _agreement_report("p_consistency", N, expansion.precN, *compared(), n=n)
     lhs = expansion.eval_poly(expansion.divcache.P(n))
     return _agreement_report(
         "p_consistency", N, expansion.precN, lhs, expansion.p(n), n=n
@@ -284,20 +379,20 @@ def check_d_consistency(N, precN=None):
 
 
 def express2_series_report(N, precN=None, expansion=None):
-    """p_{m+1} = v p_m (N odd) or v p_{m-1} (N even), as truncated series.
-
-    Both p series come from the expansion's cache.  v is one Siegel product
-    with sum(v) = 0, so its power of i is 0 and it resolves on its own; its
-    product with the resolved partner has the precision and window of the
-    product taken as Siegel products before the shift to q-exponents."""
+    """p_{m+1} = v p_m (N odd) or v p_{m-1} (N even), decided on the exponent
+    vectors: the two p have one sign and vec p_{m+1} = vec p_partner + vec v.
+    Siegel products multiply as their exponent vectors add, so this is the
+    series identity to every precision, and no series is built.  A failure
+    is located by comparing the p_{m+1} series with the partner's sign times
+    the Siegel product of vec p_partner + vec v, which is v p_partner."""
     if expansion is None:
         expansion = expand_curve(N, precN)
     m = N // 2
     partner = m if N % 2 else m - 1
-    v = expansion.product(v_to_h(N)).to_qseries()
-    report = _agreement_report(
-        "express2_series", N, expansion.precN,
-        expansion.p(m + 1), v * expansion.p(partner),
+    _, sign, vec = expansion.fold({m + 1: 1})
+    _, psign, pvec = expansion.fold({partner: 1})
+    rhs = pvec + v_to_h(N)
+    return _exact_report(
+        "express2_series", N, expansion.precN, sign == psign and vec == rhs,
+        lambda: (expansion.p(m + 1), _resolve(psign, expansion.product(rhs))), n=m + 1,
     )
-    report["n"] = m + 1
-    return report

@@ -21,6 +21,9 @@ factorisation of P_n and its sign (factor_P_over_F), with no trial division.
 FactorizationIncomplete is raised when that structure fails, i.e. when a
 division is inexact, the quartic of D still divides F_n, or the walk does not
 end at +-F_n.
+
+F_n serves the `poly` command; `verify` derives F_N(b, c) = 0 from the
+p-checks and the factorisation above, without building F_N.
 """
 
 from __future__ import annotations
@@ -103,6 +106,8 @@ class DivPolyCache:
         positive leading coefficient.  Raises FactorizationIncomplete if a
         division fails or if the result is still divisible by the quartic
         factor of D.
+
+        Serves the poly command (and factor_P_over_F); verify builds no F_n.
         """
         if n < 2:
             raise ValueError("F_n is defined for n >= 2")

@@ -12,6 +12,9 @@ reference for the one-pass fold, eval_poly_by_terms, the reference for
 the Horner evaluation and for the recurrence check of p_n, and
 p_consistency_undivided, the reference for the unit-equation form of that
 check, which builds u and v as undivided Siegel products.
+defining_equation_by_evaluation and express2_by_series, the series forms of
+the two checks that verify now decides from exact identities, use the
+library's Horner evaluation and series product.
 divpoly_sequential, the reference for the top-down build of P_n, and
 factor_P_over_F_by_trial_division, the reference for the factorisation of
 P_n read off the divisor walk, use the library's products and exact
@@ -155,6 +158,14 @@ def eval_poly_by_terms(expansion, f, pows=None):
     return acc
 
 
+def vanishing_report(check, N, precN, qs, n=None):
+    """The report of qs against the zero series on their common window."""
+    from modunits.curve_series import _agreement_report
+    from modunits.qseries import QSeries
+
+    return _agreement_report(check, N, precN, qs, QSeries.zero(N, qs.precN), n=n)
+
+
 def recurrence_pairs(n):
     """The (k, r) factors of u and v in the division-polynomial recurrence
     p_n = u - v, n >= 5, unfolded."""
@@ -171,7 +182,7 @@ def p_consistency_undivided(expansion, n):
     (a zero one dropped); for n <= 4, P_n evaluated term by term against p_n.
     When n = 0 mod N it is the vanishing check of that value instead.  The
     reference for the unit-equation form of p_consistency_report."""
-    from modunits.curve_series import _agreement_report, _combination, _vanishing_report
+    from modunits.curve_series import _agreement_report, _combination
     from modunits.qseries import QSeries
 
     N, precN = expansion.N, expansion.precN
@@ -187,8 +198,33 @@ def p_consistency_undivided(expansion, n):
     else:
         value = eval_poly_by_terms(expansion, expansion.divcache.P(n))
     if n % N == 0:
-        return _vanishing_report("p_consistency", N, precN, value, n=n)
+        return vanishing_report("p_consistency", N, precN, value, n=n)
     return _agreement_report("p_consistency", N, precN, expansion.p(n), value, n=n)
+
+
+def defining_equation_by_evaluation(expansion):
+    """The defining-equation report made by building F_N and evaluating it at
+    (b, c), compared with zero on the tracked window; the reference for
+    defining_equation_report, which derives it from the p-checks."""
+    N = expansion.N
+    value = expansion.eval_poly(expansion.divcache.F(N))
+    return vanishing_report("defining_equation", N, expansion.precN, value)
+
+
+def express2_by_series(expansion):
+    """The express2 report made as a series comparison: p_{m+1} against v,
+    resolved on its own, times the resolved partner p_m (N odd) or p_{m-1}
+    (N even); the reference for express2_series_report, which compares
+    exponent vectors."""
+    from modunits.curve_series import _agreement_report
+    from modunits.unit_lattice import v_to_h
+
+    N = expansion.N
+    m = N // 2
+    partner = m if N % 2 else m - 1
+    v = expansion.product(v_to_h(N)).to_qseries()
+    return _agreement_report("express2_series", N, expansion.precN,
+                             expansion.p(m + 1), v * expansion.p(partner), n=m + 1)
 
 
 def decompose_series_greedy(fstar, N):

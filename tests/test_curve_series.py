@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +11,6 @@ from modunits.curve_series import (
     _agreement_report,
     _combination,
     _recurrence_series,
-    _vanishing_report,
     check_d_consistency,
     check_defining_equation,
     check_p_consistency,
@@ -23,10 +23,13 @@ from modunits.curve_series import (
 from modunits.divpoly import DISCRIMINANT
 from modunits.qseries import QSeries, ZeroSeries
 from support import (
+    defining_equation_by_evaluation,
     eval_poly_by_terms,
+    express2_by_series,
     p_consistency_undivided,
     p_monomial_by_powers,
     recurrence_pairs,
+    vanishing_report,
 )
 
 
@@ -116,9 +119,7 @@ def test_report_records_failure_exponent():
     # a deliberately wrong identity must fail with a located exponent
     exp = _expansion(5, 40)
     bad = exp.eval_poly(B - C - 1)
-    from modunits.curve_series import _vanishing_report
-
-    r = _vanishing_report("defining_equation", 5, 40, bad)
+    r = vanishing_report("defining_equation", 5, 40, bad)
     assert not r["pass"]
     assert r["firstFailingExponent"] == "0"
 
@@ -186,7 +187,7 @@ def test_recurrence_reports_match_term_evaluation(N):
     for n in range(1, 3 * N + 1):
         value = eval_poly_by_terms(exp, exp.divcache.P(n), pows)
         if n % N == 0:
-            want = _vanishing_report("p_consistency", N, exp.precN, value, n=n)
+            want = vanishing_report("p_consistency", N, exp.precN, value, n=n)
         else:
             want = _agreement_report("p_consistency", N, exp.precN, value, exp.p(n), n=n)
         assert p_consistency_report(N, n, expansion=exp) == want, n
@@ -214,7 +215,7 @@ def _vector(N, powers):
     return vec
 
 
-def test_p_consistency_fails_on_perturbed_series():
+def test_p_consistency_fails_on_perturbed_series(monkeypatch):
     # the check of p_n, n != 0 mod N, reads u / p_n as one memoized Siegel
     # product: one coefficient of it inside the compared window, above its
     # leading term, fails the check at that exponent in p_n's frame, where u
@@ -236,15 +237,41 @@ def test_p_consistency_fails_on_perturbed_series():
         report = p_consistency_report(N, n, expansion=exp)
         assert not report["pass"], (N, n)
         assert report["firstFailingExponent"] == str(Fraction(e, N)), (N, n)
-    # when n = 0 mod N the check divides by 1 and u, v are one Siegel product
-    # (one vector), so no product it reads can be corrupted apart; at N = 5,
-    # n = 10 both carry the zero factor p_5 and it compares zero with zero
-    # (ROADMAP, known defects)
-    for N, n in ((6, 6), (5, 5)):
+    # when n = 0 mod N, u and v are one Siegel product (one vector), so no
+    # product the check reads can be corrupted apart; it decides u - v = 0 on
+    # the folded vectors instead, and a corrupted vector of a factor of u
+    # alone fails it.  At N = 5, n = 10 both carry the zero factor p_5, so
+    # u - v = 0 - 0 whatever the other factors are
+    from modunits import curve_series
+
+    real = curve_series.p_to_h
+    for N, n, k in ((6, 6, 5), (5, 5, 4)):
         u, v = (_vector(N, _powers(pairs)) for pairs in recurrence_pairs(n))
         assert u == v, (N, n)
         assert p_consistency_report(N, n, 6 * N)["pass"], (N, n)
+        monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
+        report = p_consistency_report(N, n, 6 * N)
+        monkeypatch.setattr(curve_series, "p_to_h", real)
+        assert not report["pass"], (N, n)
     assert p_consistency_report(5, 10, 30)["pass"]
+
+
+def test_zero_index_check_sees_past_the_window(monkeypatch):
+    # at N = 5, n = 15 and precN = 75, u and v start at q^(89/5), above the
+    # window of the zero p_15: a corrupted factor of u leaves the series
+    # comparison on that window clean, and the exact identity still fails
+    from modunits import curve_series
+
+    N, n = 5, 15
+    assert p_consistency_report(N, n, 15 * N)["pass"]
+    real = curve_series.p_to_h
+    monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == 9 else j, M))
+    exp = expand_curve(N, 15 * N)
+    assert exp.p(n).first_difference(_recurrence_series(exp, n)) is None
+    report = p_consistency_report(N, n, expansion=exp)
+    assert not report["pass"] and "firstFailingExponent" not in report
+    # compared past the window, u - v is not zero
+    assert p_consistency_undivided(exp, n)["firstFailingExponent"] == "89/5"
 
 
 def test_p_consistency_fails_on_corrupted_dictionary(monkeypatch):
@@ -285,7 +312,8 @@ def test_c_is_one_siegel_product():
         assert exp.c == exp.p(4) * exp.b.pow_int(-5), N
 
 
-def test_express2_reads_the_level_expansion():
+def test_express2_reads_the_level_expansion(monkeypatch):
+    from modunits import curve_series
     from modunits.siegel import product_series
     from modunits.unit_lattice import p_to_h, v_to_h
 
@@ -305,14 +333,17 @@ def test_express2_reads_the_level_expansion():
         assert exp.product(v_to_h(N)).to_qseries() * exp.p(partner) == (
             joint.to_qseries() * sign
         ), N
-        # and p_{m+1} is the cached series: perturbing it fails the check
-        good = exp.p(m + 1)
-        e = good.ord + 1
-        terms = {k: good.coeff(k) for k in range(good.ord, good.precN)}
-        terms[e] = terms.get(e, 0) + 1
-        exp._pcache[m + 1] = QSeries.from_terms(N, terms, good.precN)
-        bad = express2_series_report(N, expansion=exp)
-        assert not bad["pass"] and bad["firstFailingExponent"] == str(Fraction(e, N)), N
+        # and p_{m+1} and the partner are read off p_to_h: handing either the
+        # vector of p_{k+N}, a different unit, fails the check, at the
+        # exponent where the series comparison fails
+        real = curve_series.p_to_h
+        for k in (m + 1, partner):
+            monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
+            bad = express2_series_report(N, precN)
+            want = express2_by_series(expand_curve(N, precN))
+            monkeypatch.setattr(curve_series, "p_to_h", real)
+            assert not bad["pass"] and "firstFailingExponent" in bad, (N, k)
+            assert bad == want, (N, k)
 
 
 def test_verify_builds_each_siegel_product_once(monkeypatch):
@@ -380,11 +411,115 @@ def test_verify_never_inverts_or_powers_a_series(monkeypatch):
         assert all(r["pass"] for r in reports), N
 
 
+def test_verify_never_builds_F(monkeypatch):
+    # the defining equation is derived from the p-checks, so verify builds no
+    # F_N; DivPolyCache.F serves the poly command
+    from modunits import cli
+    from modunits.divpoly import DivPolyCache
+
+    def refuse(self, n):
+        raise AssertionError("DivPolyCache.F called")
+
+    monkeypatch.setattr(DivPolyCache, "F", refuse)
+    for N in range(4, 21):
+        reports = cli._verify_tasks(N, 15 * N, N // 2 + 2, 1, 1)
+        assert all(r["pass"] for r in reports), N
+
+
+def test_verify_makes_each_p_check_once(monkeypatch):
+    from collections import Counter
+
+    from modunits import cli, curve_series
+
+    made = Counter()
+    real = curve_series.p_consistency_report
+
+    def counted(N, n, precN=None, expansion=None):
+        made[n] += 1
+        return real(N, n, precN, expansion)
+
+    monkeypatch.setattr(curve_series, "p_consistency_report", counted)
+    for N in range(4, 21):
+        made.clear()
+        cli._verify_tasks(N, 15 * N, N // 2 + 2, 1, 1)
+        assert made == Counter(range(1, N // 2 + 3)), N
+
+
+def test_monomial_scales_no_series(monkeypatch):
+    # the sign of a resolved Siegel product joins its scalar, so monomial
+    # builds each series in one pass, with no scaling by an int after it
+    scalings = []
+    real = QSeries.__mul__
+
+    def spy(self, other):
+        if isinstance(other, (int, Fraction)):
+            scalings.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", spy)
+    monkeypatch.setattr(QSeries, "__rmul__", spy)
+    for N in (4, 5, 6, 11, 14):
+        exp = expand_curve(N, 4 * N)
+        assert -exp.b == exp.monomial({2: 1}), N
+        for n in range(1, 2 * N + 1):
+            exp.monomial({n: 1})
+        for n in range(5, 2 * N + 3):
+            for pairs in recurrence_pairs(n):
+                exp.monomial(_powers(pairs), 3)
+    assert not scalings
+
+
+@pytest.mark.parametrize("N", range(4, 31))
+def test_derived_reports_match_series_oracles(N):
+    # the defining equation from the p-checks and express2 from the vectors
+    # give the reports that evaluating F_N(b, c) and multiplying v p_partner
+    # give, the empty windows at N = 4 and precN <= 5 included
+    precs = [15 * N] + (list(range(1, 31)) if N <= 9 else [])
+    for precN in precs:
+        exp = expand_curve(N, precN)
+        assert defining_equation_report(N, expansion=exp) == defining_equation_by_evaluation(exp), precN
+        assert express2_series_report(N, expansion=exp) == express2_by_series(exp), precN
+
+
+def test_corrupted_dictionary_fails_both_forms(monkeypatch):
+    # p_to_h handing b's or c's index (2 or 4) the vector of p_{k+N} changes
+    # F_N(b, c) and the p-checks the derived defining equation rests on;
+    # handing p_{m+1} or its partner that vector, or the opposite sign,
+    # changes one side of express2.  (The sign of p_2 alone negates b and c,
+    # which leaves F_5(b, c) = b - c zero; the derived form fails on it.)
+    from modunits import curve_series
+
+    real = curve_series.p_to_h
+
+    def shifted(k, N):
+        return lambda j, M: real(j + N if j == k else j, M)
+
+    def negated(k, N):
+        def fold(j, M):
+            folded = real(j, M)
+            return folded if j != k else (-folded[0], folded[1])
+        return fold
+
+    for N in range(5, 15):
+        m = N // 2
+        partner = m if N % 2 else m - 1
+        for k, corrupt in itertools.product(sorted({2, 4, m + 1, partner}), (shifted, negated)):
+            monkeypatch.setattr(curve_series, "p_to_h", corrupt(k, N))
+            exp = expand_curve(N, 15 * N)
+            if k in (2, 4) and corrupt is shifted:
+                assert not defining_equation_report(N, expansion=exp)["pass"], (N, k, corrupt)
+                assert not defining_equation_by_evaluation(exp)["pass"], (N, k, corrupt)
+            if k in (m + 1, partner):
+                assert not express2_series_report(N, expansion=exp)["pass"], (N, k, corrupt)
+                assert not express2_by_series(exp)["pass"], (N, k, corrupt)
+            monkeypatch.setattr(curve_series, "p_to_h", real)
+
+
 def test_p4_at_level_4_is_a_vanishing_check():
     # p_4 is the zero series at N = 4, so comparing P_4(b, c) with it is the
     # vanishing check of the same value, at every precision
     for precN in range(1, 21):
         exp = expand_curve(4, precN)
         lhs = exp.eval_poly(exp.divcache.P(4))
-        want = _vanishing_report("p_consistency", 4, precN, lhs, n=4)
+        want = vanishing_report("p_consistency", 4, precN, lhs, n=4)
         assert p_consistency_report(4, 4, expansion=exp) == want, precN
