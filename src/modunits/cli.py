@@ -116,7 +116,10 @@ class PolyDiskCache:
 
 def _cmd_poly(args, out):
     kind = args.kind
-    cache = PolyDiskCache(args.cache) if args.cache else None
+    try:
+        cache = PolyDiskCache(args.cache) if args.cache else None
+    except OSError as exc:
+        raise _UsageError("cannot use cache directory: %s" % exc)
     divc = divpoly.DivPolyCache()
     if kind == "D":
         poly = divpoly.DISCRIMINANT
@@ -181,7 +184,7 @@ def _cmd_decompose(args, out):
         try:
             data = json.loads(Path(args.series).read_text())
             fstar = QSeries.from_obj(data)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
             raise _UsageError("cannot read series file: %s" % exc)
         try:
             evec = decompose_series(fstar, N)
@@ -295,6 +298,9 @@ def _cmd_verify(args, out):
         levels = _parse_range(args.N)
     except ValueError as exc:
         raise _UsageError(str(exc))
+    for name, least in (("prec", 0), ("nmax", 0), ("trials", 1)):
+        if getattr(args, name) < least:
+            raise _UsageError("--%s must be at least %d" % (name, least))
     reports = []
     for N in levels:
         precN = args.prec if args.prec else 15 * N

@@ -44,7 +44,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import divpoly
-from .qseries import QSeries, ZeroSeries
+from .qseries import QSeries, ZeroSeries, combination
 from .siegel import product_lead_exponent, product_series
 from .unit_lattice import ExpVector, d_to_h, p_to_h, v_to_h
 
@@ -79,19 +79,18 @@ def _resolve(sign, sp, shift=0):
 
 class CurveExpansion:
     """Series data for one level; immutable after construction apart from the
-    caches _products (Siegel products by exponent vector), _pcache (p_n),
-    _bpows (powers of b) and _preports (p-check reports)."""
+    caches _products (Siegel products by exponent vector), _bpows (powers of
+    b) and _preports (p-check reports)."""
 
-    def __init__(self, N, precN, divcache=None):
+    def __init__(self, N, precN):
         if N < 4:
             raise ValueError("level N must be at least 4")
         if precN < 1:
             raise ValueError("precN must be at least 1")
         self.N = N
         self.precN = precN
-        self.divcache = divcache if divcache is not None else divpoly._default_cache
+        self.divcache = divpoly._default_cache
         self._products = {}
-        self._pcache = {}
         self._preports = {}
         self.b = -self.p(2)
         # c = p_4 / b^5 = -p_4 / p_2^5 (the zero series at N = 4)
@@ -141,10 +140,9 @@ class CurveExpansion:
         return QSeries.zero(self.N, self.precN) * rest if vanishes else rest
 
     def p(self, n):
-        """The p_n series (zero to precision when n = 0 mod N)."""
-        if n not in self._pcache:
-            self._pcache[n] = self.monomial({n: 1})
-        return self._pcache[n]
+        """The p_n series (zero to precision when n = 0 mod N), resolved from
+        its memoised Siegel product."""
+        return self.monomial({n: 1})
 
     def p_report(self, n):
         """p_consistency_report(N, n) on this expansion, made once."""
@@ -171,27 +169,16 @@ class CurveExpansion:
             if acc is not None:
                 acc = acc * self.c
             if j in rows:
-                row = _combination(rows[j])
+                row = combination(rows[j])
                 acc = row if acc is None else acc + row
         return acc
 
 
-def _combination(terms):
-    """sum coeff * s over the (coeff, series) pairs, tracked like repeated +."""
-    precN = min(s.precN for _, s in terms)
-    lo = min([precN] + [s.ord for _, s in terms if s.coeffs])
-    out = [0] * (precN - lo)
-    for coeff, s in terms:
-        for n, x in enumerate(s.coeffs[: max(0, precN - s.ord)], start=s.ord - lo):
-            out[n] += coeff * x
-    return QSeries(terms[0][1].denomN, lo, out, precN)
-
-
-def expand_curve(N, precN=None, divcache=None):
+def expand_curve(N, precN=None):
     """Build the b, c, d expansions at level N (default precN = 15*N)."""
     if precN is None:
         precN = 15 * N
-    return CurveExpansion(N, precN, divcache)
+    return CurveExpansion(N, precN)
 
 
 def _report(check, N, precN, holds, n=None, bad=None):
@@ -320,7 +307,7 @@ def _recurrence_series(expansion, n):
     if not terms:
         # zero at the precision of the left side q^(s/N) p_n / r
         return QSeries.zero(expansion.N, expansion.precN + s)
-    return _combination(terms)
+    return combination(terms)
 
 
 def p_consistency_report(N, n, precN=None, expansion=None):

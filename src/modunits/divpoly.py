@@ -115,55 +115,49 @@ class DivPolyCache:
             # B^4 / D = B / quartic, already in lowest terms
             return RatPoly(B, _D_COFACTOR)
         if n not in self._F:
-            self._F[n] = self._F_by_divisors(n)
+            res = self._walk(n)[1]
+            # no B check is needed: after the shift some term is free of B,
+            # and an exact quotient of such a polynomial has a B-free term too
+            try:
+                div_exact(res, _D_COFACTOR)
+            except NotDivisible:
+                self._F[n] = res.primitive_positive()
+            else:
+                raise FactorizationIncomplete("F_%d is divisible by the quartic of D" % n)
         return self._F[n]
 
-    def _F_by_divisors(self, n):
-        p = self.P(n)
-        res = div_exact(p, B ** min(i for i, _ in p.terms))
-        for d in range(4, n // 2 + 1):
-            if n % d == 0:
-                fd = self.F(d)
-                try:
-                    res = div_exact(res, fd)
-                except NotDivisible:
-                    raise FactorizationIncomplete(
-                        "P_%d is not divisible by F_%d" % (n, d)
-                    ) from None
-        # no B check is needed: after the shift some term is free of B, and an
-        # exact quotient of such a polynomial has a B-free term too
-        try:
-            div_exact(res, _D_COFACTOR)
-        except NotDivisible:
-            return res.primitive_positive()
-        raise FactorizationIncomplete("F_%d is divisible by the quartic of D" % n)
-
-    def factor_P_over_F(self, n):
-        """Write P_n = sign * B^(a_n) * prod F_d over the divisors d >= 4 of n.
-
-        Returns (sign, exponents) with exponents {3: a_n} (F_3 = B, a_n the
-        lowest power of B in P_n) and {d: 1} for each divisor d >= 4 of n.
-        The sign is read off the walk that F takes: P_n with B^(a_n) shifted
-        out and divided by F_d for each proper divisor 4 <= d < n must be
-        +-F_n (+-1 for n < 4).  Raises FactorizationIncomplete otherwise.
-        """
-        if n < 2:
-            raise ValueError("factorisation is defined for n >= 2")
+    def _walk(self, n):
+        """(a_n, cofactor): a_n the lowest power of B in P_n, and the cofactor
+        P_n with B^(a_n) shifted out and divided exactly by F_d for each
+        proper divisor 4 <= d < n of n.  Raises FactorizationIncomplete when a
+        division is inexact."""
         p = self.P(n)
         a = min(i for i, _ in p.terms)
         res = div_exact(p, B ** a)
-        exps = {3: a}
-        for d in range(4, n + 1):
-            if n % d:
-                continue
-            exps[d] = 1
-            if d < n:
+        for d in range(4, n // 2 + 1):
+            if n % d == 0:
                 try:
                     res = div_exact(res, self.F(d))
                 except NotDivisible:
                     raise FactorizationIncomplete(
                         "P_%d is not divisible by F_%d" % (n, d)
                     ) from None
+        return a, res
+
+    def factor_P_over_F(self, n):
+        """Write P_n = sign * B^(a_n) * prod F_d over the divisors d >= 4 of n.
+
+        Returns (sign, exponents) with exponents {3: a_n} (F_3 = B, a_n the
+        lowest power of B in P_n) and {d: 1} for each divisor d >= 4 of n.
+        The sign is read off the walk that F takes (_walk, redone on every
+        call): the cofactor must be +-F_n (+-1 for n < 4).  Raises
+        FactorizationIncomplete otherwise.
+        """
+        if n < 2:
+            raise ValueError("factorisation is defined for n >= 2")
+        a, res = self._walk(n)
+        exps = {3: a}
+        exps.update((d, 1) for d in range(4, n + 1) if n % d == 0)
         rest = self.F(n) if n >= 4 else ONE
         if res == rest:
             return 1, exps

@@ -12,15 +12,17 @@ is identically O(...).  All arithmetic tracks precision pessimistically
 Fractional powers are deliberately not implemented: every pipeline path uses
 integer exponents only.
 
+Sums, differences, negation and scaling by a number are all one call of
+combination, the one routine for sum coeff * s and its window rule.
+
 A product needs the first n = min(len f, len g) coefficients of each factor
-and has two paths behind the one operator.  Narrow int windows go through
-Kronecker substitution (Harvey, arXiv:0712.4046), with the slot packing that
-bivar_poly uses: each window is packed into one integer with one k-byte slot
-per coefficient, one big-integer product does the work, and the low n slots
-are read back.  It is taken when both windows hold only ints, n is at least
-a measured minimum and the slot bound max|f| * max|g| * n fits a measured
-number of bits.  Every other product, Fraction coefficients, short windows
-and wide slots, sums the coefficient products of each output term.
+and has two paths behind the one operator.  Int windows of at least a
+measured minimum length go through Kronecker substitution (Harvey,
+arXiv:0712.4046), with the slot packing that bivar_poly uses: each window is
+packed into one integer with one slot per coefficient, as wide as the bound
+max|f| * max|g| * n needs, one big-integer product does the work, and the low
+n slots are read back.  Every other product, Fraction coefficients and short
+windows, sums the coefficient products of each output term.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from operator import mul
 
 from .bivar_poly import pack_slots, unpack_slots
 
-__all__ = ["QSeries", "ZeroSeries"]
+__all__ = ["QSeries", "ZeroSeries", "combination"]
 
 
 class ZeroSeries(ArithmeticError):
@@ -46,20 +48,13 @@ def _norm_coeff(c):
     return f.numerator if f.denominator == 1 else f
 
 
-# QSeries.__mul__ multiplies two windows of n int coefficients by one
-# big-integer product when n >= _KRONECKER_MIN_WINDOW and the slot bound
-# max|f| * max|g| * n has at most _KRONECKER_MAX_BITS bits.  Measured against
-# the coefficient sums (py3.11, 2 cores): on random windows the big product
-# runs at 0.5-0.9x for n = 16, about 1x for n = 32 and 1.3-1.8x for n = 64
-# with slots up to 270 bits.  On real operands a series' coefficients grow
-# along its window, so a slot sized for the largest wastes bits on the rest.
-# Over the products of verify --N 30 and --N 60, slots of 384-511 bits ran at
-# 1.1-1.6x, 512-639 bits at 0.8-1.1x and wider ones down to 0.43x; with no
-# cap the 245 products at N = 60 took 32.9 s against 16.6 s for the sums.
-# With both limits, the products of verify --N 4..14 take 0.111 s against
-# 0.216 s, and those at N = 60 take 16.0 s.
+# QSeries.__mul__ multiplies two int windows of n coefficients by one
+# big-integer product when n >= _KRONECKER_MIN_WINDOW, whatever the slot
+# width.  Measured against the coefficient sums on random windows (py3.11.7,
+# 2 cores), with coefficients of 4, 64 and 200 bits: the big product runs at
+# 0.6-0.8x for n = 16, 0.8-1.3x for n = 32 and 1.1-2.1x for n = 64, the low
+# end of each range at the widest slots (about 400 bits).
 _KRONECKER_MIN_WINDOW = 64
-_KRONECKER_MAX_BITS = 512
 
 
 def _is_int(coeffs):
@@ -80,6 +75,23 @@ def _mul_kronecker(fc, gc, bound):
     for t, c in unpack_slots(fpacked * gpacked, n, k):
         out[t] = c
     return out
+
+
+def combination(terms):
+    """sum coeff * s over the (coeff, series) pairs, all on one exponent grid,
+    to the lowest precision among them: the window runs from the lowest
+    first tracked exponent (or that precision, when every window is empty)
+    up to it.  Coefficients beyond it are dropped, none are invented."""
+    denomN = terms[0][1].denomN
+    if any(s.denomN != denomN for _, s in terms):
+        raise ValueError("exponent denominators differ; rescale first")
+    precN = min(s.precN for _, s in terms)
+    lo = min([precN] + [s.ord for _, s in terms if s.coeffs])
+    out = [0] * (precN - lo)
+    for coeff, s in terms:
+        for n, x in enumerate(s.coeffs[: max(0, precN - s.ord)], start=s.ord - lo):
+            out[n] += coeff * x
+    return QSeries(denomN, lo, out, precN)
 
 
 class QSeries:
@@ -187,7 +199,7 @@ class QSeries:
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self):
-        return QSeries(self.denomN, self.ord, [-c for c in self.coeffs], self.precN)
+        return combination([(-1, self)])
 
     def _constant(self, c):
         """The constant c at this series' precision; at precN <= 0 the
@@ -196,41 +208,28 @@ class QSeries:
             return QSeries.zero(self.denomN, self.precN)
         return QSeries.from_terms(self.denomN, {0: c}, self.precN)
 
-    def __add__(self, other):
+    def _plus(self, sign, other):
+        """self + sign * other, a number other taken as a constant."""
         if isinstance(other, (int, Fraction)):
             other = self._constant(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.denomN != other.denomN:
-            raise ValueError("exponent denominators differ; rescale first")
-        precN = min(self.precN, other.precN)
-        lo = min(self.ord if self.coeffs else precN,
-                 other.ord if other.coeffs else precN)
-        coeffs = [0] * (precN - lo)
-        for src in (self, other):
-            for j, c in enumerate(src.coeffs):
-                n = src.ord + j
-                if n < precN:
-                    coeffs[n - lo] += c
-        return QSeries(self.denomN, lo, coeffs, precN)
+        return combination([(1, self), (sign, other)])
+
+    def __add__(self, other):
+        return self._plus(1, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._constant(other)
-        return self + (-other)
+        return self._plus(-1, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._plus(1, other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return QSeries.zero(self.denomN, self.precN)
-            return QSeries(
-                self.denomN, self.ord, [c * other for c in self.coeffs], self.precN
-            )
+            return combination([(other, self)])
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.denomN != other.denomN:
@@ -246,8 +245,7 @@ class QSeries:
         gc = fc if g is f else g.coeffs[:n]
         if n >= _KRONECKER_MIN_WINDOW and _is_int(fc) and (gc is fc or _is_int(gc)):
             bound = max(map(abs, fc)) * max(map(abs, gc)) * n
-            if bound.bit_length() <= _KRONECKER_MAX_BITS:
-                return QSeries(self.denomN, ord_, _mul_kronecker(fc, gc, bound), precN)
+            return QSeries(self.denomN, ord_, _mul_kronecker(fc, gc, bound), precN)
         out = [sum(map(mul, fc[: k + 1], gc[k::-1])) for k in range(n)]
         return QSeries(self.denomN, ord_, out, precN)
 

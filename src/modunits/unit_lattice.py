@@ -27,7 +27,7 @@ from math import prod
 from operator import mul
 from typing import Tuple
 
-from .siegel import fold_index, product_series
+from .siegel import fold_index, product_lead_exponent, product_series
 
 __all__ = [
     "ExpVector",
@@ -358,7 +358,6 @@ def decompose_series(fstar, N):
 
 
 def leading_exponent_check(e):
-    """Exact test that sum_k e(k)(6k^2 - 6kN + N^2) / (12 N^2) lies in (1/N)Z."""
-    N = e.N
-    val = sum(ek * (6 * k * k - 6 * k * N + N * N) for k, ek in enumerate(e.e, start=1))
-    return val % (12 * N) == 0
+    """Exact test that the leading exponent of the Siegel product of e,
+    sum_k e(k)(6k^2 - 6kN + N^2) / (12 N^2), lies in (1/N)Z."""
+    return (e.N * product_lead_exponent(e)).denominator == 1

@@ -124,6 +124,22 @@ def p_monomial_by_powers(N, precN, pairs):
     return acc
 
 
+def combination_by_terms(terms):
+    """sum coeff * s over the (coeff, series) pairs, all on one exponent grid,
+    as summed exponent -> coefficient dicts, read over the window from the
+    lowest first tracked exponent to the lowest precision; the reference for
+    qseries.combination and the linear operators built on it."""
+    from modunits.qseries import QSeries
+
+    precN = min(s.precN for _, s in terms)
+    lo = min([s.ord for _, s in terms if s.coeffs] + [precN])
+    total = {}
+    for coeff, s in terms:
+        for j, c in enumerate(s.coeffs):
+            total[s.ord + j] = total.get(s.ord + j, 0) + coeff * c
+    return QSeries(terms[0][1].denomN, lo, [total.get(n, 0) for n in range(lo, precN)], precN)
+
+
 def eval_poly_by_terms(expansion, f, pows=None):
     """CurveExpansion.eval_poly term by term: every monomial b^i c^j from the
     powers of b and c climbed one product at a time, scaled and summed.  Pass
@@ -182,8 +198,8 @@ def p_consistency_undivided(expansion, n):
     (a zero one dropped); for n <= 4, P_n evaluated term by term against p_n.
     When n = 0 mod N it is the vanishing check of that value instead.  The
     reference for the unit-equation form of p_consistency_report."""
-    from modunits.curve_series import _agreement_report, _combination
-    from modunits.qseries import QSeries
+    from modunits.curve_series import _agreement_report
+    from modunits.qseries import QSeries, combination
 
     N, precN = expansion.N, expansion.precN
     if n >= 5:
@@ -194,7 +210,7 @@ def p_consistency_undivided(expansion, n):
                 powers[k] = powers.get(k, 0) + r
             monomials.append(expansion.monomial(powers))
         terms = [(sign, mono) for sign, mono in zip((1, -1), monomials) if not mono.is_zero]
-        value = _combination(terms) if terms else QSeries.zero(N, expansion.p(n).precN)
+        value = combination(terms) if terms else QSeries.zero(N, expansion.p(n).precN)
     else:
         value = eval_poly_by_terms(expansion, expansion.divcache.P(n))
     if n % N == 0:

@@ -232,6 +232,47 @@ def test_verify_empty_window_does_not_pass():
     assert failed == {"defining_equation", "d_consistency"}
 
 
+def _bad_input(tmp_path, case):
+    """The argv of one bad input, with the files it names written under
+    tmp_path."""
+    if case.startswith("verify "):
+        return ["verify", "--N", "5"] + case.split()[1:]
+    if case == "cache is a file":
+        path = tmp_path / "cache"
+        path.write_text("")
+        return ["poly", "F", "--n", "5", "--cache", str(path)]
+    obj = QSeries.from_terms(5, {0: 1, 1: 2}, 3).to_obj()
+    if case == "zero denominator":
+        obj["coeffs"][0] = "1/0"
+    elif case == "coeffs not a list":
+        obj["coeffs"] = 5
+    elif case == "infinite denominator":
+        obj["denomN"] = float("inf")
+    else:
+        obj = list(obj.values())
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(obj))
+    return ["decompose", "--N", "5", "--series", str(path)]
+
+
+@pytest.mark.parametrize("case", [
+    "verify --prec -5",
+    "verify --trials 0",
+    "verify --trials -2",
+    "verify --nmax -3",
+    "zero denominator",
+    "coeffs not a list",
+    "infinite denominator",
+    "series is a list",
+    "cache is a file",
+])
+def test_bad_input_is_a_usage_error(case, tmp_path, capsys):
+    assert run_cli(*_bad_input(tmp_path, case)) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class _ClosedPipe(io.StringIO):
     def __init__(self, raise_in):
         super().__init__()

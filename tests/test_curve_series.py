@@ -9,7 +9,6 @@ from modunits.bivar_poly import B, C, BivarPoly
 from modunits.curve_series import (
     CurveExpansion,
     _agreement_report,
-    _combination,
     _recurrence_series,
     check_d_consistency,
     check_defining_equation,
@@ -162,20 +161,6 @@ def test_eval_poly_horner_matches_terms_on_random_polys(N, precN, f):
     want = eval_poly_by_terms(exp, f)
     assert got.first_difference(want) is None
     assert got.precN >= want.precN
-
-
-series_st = st.tuples(
-    st.integers(-4, 6), st.lists(st.integers(-5, 5), min_size=0, max_size=8)
-).map(lambda t: QSeries(5, t[0], t[1], t[0] + len(t[1])))
-
-
-@settings(max_examples=150)
-@given(st.lists(st.tuples(st.integers(-9, 9).filter(bool), series_st), min_size=1, max_size=4))
-def test_combination_matches_repeated_addition(terms):
-    want = terms[0][1] * terms[0][0]
-    for coeff, s in terms[1:]:
-        want = want + s * coeff
-    assert _combination(terms) == want
 
 
 @pytest.mark.parametrize("N", range(4, 15))

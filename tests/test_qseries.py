@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from modunits import qseries
 from modunits.curve_series import expand_curve
-from modunits.qseries import QSeries, ZeroSeries
-from support import dense_mul, series_mul_schoolbook
+from modunits.qseries import QSeries, ZeroSeries, combination
+from support import combination_by_terms, dense_mul, series_mul_schoolbook
 
 
 def geometric(N, precN):
@@ -153,8 +153,10 @@ def test_constant_absorbed_at_non_positive_precision():
 def test_add_requires_matching_grid():
     f = QSeries.one(5, 4)
     g = QSeries.one(10, 8)
-    with pytest.raises(ValueError):
-        f + g
+    for mixed in (lambda: f + g, lambda: f - g, lambda: g - f,
+                  lambda: combination([(1, g), (2, f)])):
+        with pytest.raises(ValueError):
+            mixed()
     assert (f.rescale(10) + g).coeff(0) == 2
 
 
@@ -233,6 +235,33 @@ mixed_series_st = st.tuples(
 ).map(lambda t: QSeries(3, t[0], t[1], t[0] + len(t[1])))
 
 
+# the one linear routine and the operators on it against the dict oracle
+int_series_st = st.tuples(
+    st.integers(-4, 6), st.lists(st.integers(-5, 5), min_size=0, max_size=8)
+).map(lambda t: QSeries(3, t[0], t[1], t[0] + len(t[1])))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(st.integers(-9, 9).filter(bool), int_series_st), min_size=1, max_size=4))
+def test_combination_matches_repeated_addition(terms):
+    want = combination_by_terms(terms)
+    assert combination(terms) == want
+    total = terms[0][1] * terms[0][0]
+    for coeff, s in terms[1:]:
+        total = total + s * coeff
+    assert total == want
+
+
+@settings(max_examples=150)
+@given(mixed_series_st, mixed_series_st, st.one_of(st.just(0), coeff_st))
+def test_linear_operators_match_the_oracle(f, g, c):
+    assert f + g == combination_by_terms([(1, f), (1, g)])
+    assert f - g == combination_by_terms([(1, f), (-1, g)])
+    assert -f == combination_by_terms([(-1, f)])
+    assert f * c == c * f == combination_by_terms([(c, f)])
+    assert combination([(c, f), (3, g)]) == combination_by_terms([(c, f), (3, g)])
+
+
 @settings(max_examples=150)
 @given(mixed_series_st, mixed_series_st)
 def test_mul_matches_schoolbook_oracle(f, g):
@@ -243,8 +272,10 @@ def test_mul_matches_schoolbook_oracle(f, g):
 
 # -- the Kronecker path of QSeries.__mul__ -------------------------------------
 
-KMIN = qseries._KRONECKER_MIN_WINDOW
-KBITS = qseries._KRONECKER_MAX_BITS
+# the shortest window the Kronecker path takes, and a slot width (in bits)
+# that the tests below cross: slots of every width take that path
+KMIN = 64
+KBITS = 512
 
 # windows on both sides of the Kronecker minimum: negative coefficients, runs
 # of zeros, small and wide entries, one-coefficient and empty windows
@@ -356,17 +387,18 @@ def test_mul_takes_the_kronecker_path_on_narrow_int_windows(monkeypatch):
     # only the first n coefficients count: a Fraction beyond the window of a
     # longer factor does not
     assert path(series(small[:KMIN]), series(small + [Fraction(1, 2)]))
-    # short windows, Fraction coefficients and wide slots stay on the loop
+    # short windows and Fraction coefficients stay on the loop
     assert not path(series(small[: KMIN - 1]), series(small))
     assert not path(series(small), series([Fraction(1, 2)] + small))
     assert not path(series([Fraction(1, 2)] + small), series(small))
+    # slots of any width take the Kronecker path
     for n in (KMIN, KMIN + 17):
         fc, gc = _at_cap(n, 100, KBITS, -1)
         assert path(series(fc), series(gc))
         fc, gc = _at_cap(n, 100, KBITS + 1, -1)
-        assert not path(series(fc), series(gc))
+        assert path(series(fc), series(gc))
     # real operands: b^i c at N = 14 is narrow, p_5 p_6 at N = 30 is wide
     e14 = expand_curve(14)
     assert path(e14.b.pow_int(3), e14.c)
     e30 = expand_curve(30)
-    assert not path(e30.p(5), e30.p(6))
+    assert path(e30.p(5), e30.p(6))
