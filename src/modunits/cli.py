@@ -280,12 +280,11 @@ def _parse_range(spec):
     out = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif "-" in chunk and not chunk.startswith("-"):
-            lo, hi = chunk.split("-")
-            out.extend(range(int(lo), int(hi) + 1))
+        if ".." in chunk or ("-" in chunk and not chunk.startswith("-")):
+            lo, hi = map(int, chunk.split(".." if ".." in chunk else "-"))
+            if hi < lo:
+                raise ValueError("the range %s is empty" % chunk)
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(chunk))
     if not out or any(n < 4 for n in out):

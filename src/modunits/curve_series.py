@@ -10,8 +10,8 @@ no branch for that level.  The checks verify, to the tracked precision, that
 P_n(b, c) agrees with the p_n series coming from the exponent dictionary and
 that D(b, c) agrees with d.
 
-Two checks follow from exact identities and build no series on success.
-F_N(b, c) = 0 is derived as in the paper's proof: the p-checks give
+Three kinds of check follow from exact identities and build no series on
+success.  F_N(b, c) = 0 is derived as in the paper's proof: the p-checks give
 P_k(b, c) = p_k at every index k < N that the recursion for P_N reaches, u
 and v of the recurrence at n = N fold to one unit, so P_N(b, c) = 0, and
 P_N = +-B^(a_N) prod F_d with every other factor a unit at (b, c).  It
@@ -21,11 +21,20 @@ passes when the p-check of n = 4 does and c's window is not empty.
 p_{m+1} = v p_partner is decided on the exponent vectors, and holds exactly
 when they add up with equal signs.
 
-Polynomials are evaluated by Horner in C.  The p_n check evaluates P_n only
-for n <= 4.  For n >= 5 it checks that the p_n series satisfy the
-division-polynomial recurrence p_n = u - v that builds P_n
-(divpoly.DivPolyCache); by induction on n this is equivalent to
-P_n(b, c) = p_n, without the powers of b up to deg_B P_n.
+The p_n checks for n <= 4 are the third kind.  P_1..P_4 are the monomials
+1, -B, -B^3 and C B^5, so P_n(b, c) is a p-monomial in p_2 and p_4, and
+P_n(b, c) = p_n is an identity of Siegel products: it holds exactly when
+the two fold to one vector with one sign (Kubert-Lang), or both carry a
+zero factor (n = N = 4).  Only p_3 = p_2^3 has content; the other three
+restate the definitions of b and c.  A failure is located by evaluating P_n
+at (b, c) and comparing it with the p_n series.
+
+Polynomials are evaluated by Horner in C.  D(b, c) = d is checked divided
+by b^3, as the quartic D / B^3 at (b, c) against the one Siegel product
+d / b^3, so no power of b above b^2 is built.  For n >= 5 the p_n check
+verifies that the p_n series satisfy the division-polynomial recurrence
+p_n = u - v that builds P_n (divpoly.DivPolyCache); by induction on n this
+is equivalent to P_n(b, c) = p_n, without the powers of b up to deg_B P_n.
 
 For n != 0 mod N the recurrence is checked as a unit equation, divided by
 r = p_n: q^(s/N) p_n / r against q^(s/N) (u/r - v/r), each term one Siegel
@@ -95,8 +104,13 @@ class CurveExpansion:
         self.b = -self.p(2)
         # c = p_4 / b^5 = -p_4 / p_2^5 (the zero series at N = 4)
         self.c = -self.monomial({4: 1, 2: -5})
-        self.d = _resolve(1, self.product(d_to_h(N)))
         self._bpows = [QSeries.one(N, precN), self.b]
+
+    @property
+    def d(self):
+        """The d series, resolved from its memoised Siegel product; verify's
+        check of d reads d / b^3 instead and builds no d."""
+        return _resolve(1, self.product(d_to_h(self.N)))
 
     def product(self, vec):
         """product_series(vec, precN), built once per exponent vector: at small
@@ -288,12 +302,25 @@ def _reached(N):
     return sorted(seen)
 
 
-def _same_unit(expansion, n):
-    """Whether u and v of the recurrence for p_n fold to one term: both the
-    zero series, or one exponent vector with one sign, so u - v = 0
-    exactly."""
-    u, v = (expansion.fold(pw) for pw in _recurrence_powers(n))
+def _same_term(u, v):
+    """Whether two folds (vanishes, sign, vec) are one term: both the zero
+    series, or one exponent vector with one sign."""
     return (u[0] and v[0]) or u == v
+
+
+def _same_unit(expansion, n):
+    """Whether u and v of the recurrence for p_n fold to one term, so
+    u - v = 0 exactly."""
+    return _same_term(*(expansion.fold(pw) for pw in _recurrence_powers(n)))
+
+
+def _monomial_fold(expansion, n):
+    """P_n(b, c) for n <= 4, folded: P_n is one term eps B^i C^j and
+    b = -p_2, c = -p_4 / p_2^5, so P_n(b, c) is the p-monomial
+    eps (-1)^(i+j) p_2^(i-5j) p_4^j."""
+    ((i, j), eps), = expansion.divcache.P(n).terms.items()
+    vanishes, sign, vec = expansion.fold({2: i - 5 * j, 4: j})
+    return vanishes, eps * (-1) ** (i + j) * sign, vec
 
 
 def _recurrence_series(expansion, n):
@@ -313,15 +340,20 @@ def _recurrence_series(expansion, n):
 def p_consistency_report(N, n, precN=None, expansion=None):
     """P_n(b, c) agrees with the p_n series (vanishes when n = 0 mod N).
 
-    n <= 4 is checked by evaluating P_n at (b, c); at N = 4, p_4 is the zero
-    series to precN, so the comparison with it is a vanishing check.  For
-    n >= 5 the p_n series is compared with the division-polynomial recurrence
-    applied to the p_1..p_{n-1} series; since P_n is built by that same
-    recurrence, this is equivalent to P_n(b, c) = p_n once the lower indices
-    are checked.  For n != 0 mod N that comparison is made as the unit
-    equation q^(s/N) p_n / r = q^(s/N) (u - v) / r of _recurrence_series:
-    with r = p_n the left side is q^(s/N), the shifted constant 1, and no p_n
-    series is built.  Dividing by the unit r = q^(s/N) (+-1 + ...) keeps the
+    For n <= 4, P_n is one term, so P_n(b, c) is the p-monomial of
+    _monomial_fold, and the check holds when it and p_n fold to one term:
+    one vector with one sign, or both the zero series (p_4 at N = 4).  This
+    is exact, so it also fails on a mismatch that lies beyond the tracked
+    window; a failure is located by evaluating P_n at (b, c) against the p_n
+    series.
+
+    For n >= 5 the p_n series is compared with the division-polynomial
+    recurrence applied to the p_1..p_{n-1} series; since P_n is built by that
+    same recurrence, this is equivalent to P_n(b, c) = p_n once the lower
+    indices are checked.  For n != 0 mod N that comparison is made as the
+    unit equation q^(s/N) p_n / r = q^(s/N) (u - v) / r of
+    _recurrence_series: with r = p_n the left side is q^(s/N), the shifted
+    constant 1, and no p_n series is built.  Dividing by the unit r = q^(s/N) (+-1 + ...) keeps the
     lowest exponent of every difference, and the shift puts the window back
     on p_n's exponents, so the window, the verdict and the first failing
     exponent are those of p_n against u - v.
@@ -343,9 +375,10 @@ def p_consistency_report(N, n, precN=None, expansion=None):
             return _exact_report("p_consistency", N, expansion.precN,
                                  _same_unit(expansion, n), compared, n=n)
         return _agreement_report("p_consistency", N, expansion.precN, *compared(), n=n)
-    lhs = expansion.eval_poly(expansion.divcache.P(n))
-    return _agreement_report(
-        "p_consistency", N, expansion.precN, lhs, expansion.p(n), n=n
+    return _exact_report(
+        "p_consistency", N, expansion.precN,
+        _same_term(_monomial_fold(expansion, n), expansion.fold({n: 1})),
+        lambda: (expansion.eval_poly(expansion.divcache.P(n)), expansion.p(n)), n=n,
     )
 
 
@@ -354,11 +387,25 @@ def check_p_consistency(N, n, precN=None):
 
 
 def d_consistency_report(N, precN=None, expansion=None):
-    """D(b, c) agrees with the d series."""
+    """D(b, c) agrees with the d series, checked divided by b^3.
+
+    D = B^3 Q with Q the quartic divpoly.D_COFACTOR, so the check compares
+    q^(3s) Q(b, c), evaluated by Horner, with q^(3s) d / b^3, where s/N is
+    the leading exponent of b.  d / b^3 is one Siegel product: b = -p_2, so
+    its vector is vec d - 3 vec p_2 and its sign -sign(p_2).  Dividing by
+    the unit b^3 = -+q^(3s/N) (1 + ...) keeps the lowest exponent of every
+    difference and the shift by q^(3s/N) puts the window back on d's
+    exponents, so the verdict and the first failing exponent are those of
+    D(b, c) against d, with no power of b above b^2 and no d series built.
+    """
     if expansion is None:
         expansion = expand_curve(N, precN)
-    lhs = expansion.eval_poly(divpoly.DISCRIMINANT)
-    return _agreement_report("d_consistency", N, expansion.precN, lhs, expansion.d)
+    s = expansion.b.ord
+    q = expansion.eval_poly(divpoly.D_COFACTOR)
+    lhs = QSeries(N, q.ord + 3 * s, q.coeffs, q.precN + 3 * s)
+    _, sign, vec = expansion.fold({2: 1})
+    rhs = _resolve(-sign, expansion.product(d_to_h(N) - vec.scale(3)), 3 * s)
+    return _agreement_report("d_consistency", N, expansion.precN, lhs, rhs)
 
 
 def check_d_consistency(N, precN=None):

@@ -38,19 +38,20 @@ from .bivar_poly import (
     div_exact,
 )
 
-__all__ = ["DivPolyCache", "FactorizationIncomplete", "DISCRIMINANT"]
+__all__ = ["DivPolyCache", "FactorizationIncomplete", "DISCRIMINANT", "D_COFACTOR"]
 
 
 class FactorizationIncomplete(ArithmeticError):
     """P_n does not factor as +-B^(a_n) times the F_d of its divisors d >= 4."""
 
 
-# D = B^3 * (C^4 - 8BC^2 - 3C^3 + 16B^2 - 20BC + 3C^2 + B - C)
-_D_COFACTOR = (
+# D = B^3 * (C^4 - 8BC^2 - 3C^3 + 16B^2 - 20BC + 3C^2 + B - C); verify checks
+# D(b, c) = d through the quartic cofactor, as D_COFACTOR(b, c) = d / b^3
+D_COFACTOR = (
     C ** 4 - 8 * B * C ** 2 - 3 * C ** 3 + 16 * B ** 2 - 20 * B * C
     + 3 * C ** 2 + B - C
 )
-DISCRIMINANT = B ** 3 * _D_COFACTOR
+DISCRIMINANT = B ** 3 * D_COFACTOR
 
 
 class DivPolyCache:
@@ -113,13 +114,13 @@ class DivPolyCache:
             raise ValueError("F_n is defined for n >= 2")
         if n == 2:
             # B^4 / D = B / quartic, already in lowest terms
-            return RatPoly(B, _D_COFACTOR)
+            return RatPoly(B, D_COFACTOR)
         if n not in self._F:
             res = self._walk(n)[1]
             # no B check is needed: after the shift some term is free of B,
             # and an exact quotient of such a polynomial has a B-free term too
             try:
-                div_exact(res, _D_COFACTOR)
+                div_exact(res, D_COFACTOR)
             except NotDivisible:
                 self._F[n] = res.primitive_positive()
             else:

@@ -16,12 +16,16 @@ with integer multiplicities m_x.  Its coefficients f_n (on the q^(1/N) grid)
 follow from the logarithmic derivative: q f'/f = sum_n a_n q^(n/N) with
 a_n = -sum_{x | n} x m_x, hence f_0 = 1 and n f_n = sum_{1<=j<=n} a_j f_{n-j}.
 Each (1 - q^x)^(+-1) has integer coefficients and constant term 1, so f_n is
-an integer and the division by n is exact.  h_star and product_series share
+an integer and the division by n is exact.  The coefficients computed so far
+are kept newest first in a deque, so each step is one sum over a_1, a_2, ...
+zipped with it and one appendleft, with no slice; when every a_n is 0 the
+product is 1 and the recurrence is skipped.  h_star and product_series share
 this one recurrence; unit_lattice.decompose_series runs it backwards.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,16 +108,23 @@ def _reduced_series(N, powers, precN):
     for k, ek in powers:
         for x in _factor_exponents(k, N, precN):
             mult[x] += ek
+    if not any(mult):
+        # every a_n is 0: the empty product 1
+        return QSeries.one(N, precN)
     a = [0] * precN
     for x in range(1, precN):
         if mult[x]:
             ax = x * mult[x]
             for n in range(x, precN, x):
                 a[n] -= ax
-    f = [1] * precN
+    # rf holds f_{n-1}, ..., f_0, so zipped with a_1, a_2, ... it pairs a_j
+    # with f_{n-j} for j = 1..n
+    a1 = a[1:]
+    rf = deque([1])
     for n in range(1, precN):
-        f[n] = sum(map(mul, a[1 : n + 1], f[n - 1 :: -1])) // n
-    return QSeries(N, 0, f, precN)
+        rf.appendleft(sum(map(mul, a1, rf)) // n)
+    rf.reverse()
+    return QSeries(N, 0, rf, precN)
 
 
 def fold_index(n, N):

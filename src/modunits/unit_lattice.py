@@ -285,15 +285,15 @@ def p_to_h(n, N):
     """Exponent vector of p_n = t^(n^2-1) h_{(n/N,0)} / h_{(1/N,0)}.
 
     Returns (sign, ExpVector) with all indices folded into [1, m], or None
-    when n = 0 mod N (p_n is the zero function there).
+    when n = 0 mod N (p_n is the zero function there).  With r = n^2 - 1 the
+    indexed powers h_1^(2r-1) h_2^(-3r) h_3^r h_n fold in one pass.
     """
     if n < 1:
         raise ValueError("p_n is indexed by n >= 1")
     if n % N == 0:
         return None
-    k, s = fold_index(n, N)
-    vec = t_to_h(N).scale(n * n - 1) + ExpVector.unit(N, k) - ExpVector.unit(N, 1)
-    return s, vec
+    r = n * n - 1
+    return _fold_accumulate(N, [(1, 2 * r - 1), (2, -3 * r), (3, r), (n, 1)])
 
 
 def to_p_expression(e):

@@ -13,7 +13,8 @@ the Horner evaluation and for the recurrence check of p_n, and
 p_consistency_undivided, the reference for the unit-equation form of that
 check, which builds u and v as undivided Siegel products.
 defining_equation_by_evaluation and express2_by_series, the series forms of
-the two checks that verify now decides from exact identities, use the
+the two checks that verify now decides from exact identities, and
+d_consistency_by_evaluation, the undivided form of the d check, use the
 library's Horner evaluation and series product.
 divpoly_sequential, the reference for the top-down build of P_n, and
 factor_P_over_F_by_trial_division, the reference for the factorisation of
@@ -197,7 +198,8 @@ def p_consistency_undivided(expansion, n):
     the p_n series against u - v, each monomial one undivided Siegel product
     (a zero one dropped); for n <= 4, P_n evaluated term by term against p_n.
     When n = 0 mod N it is the vanishing check of that value instead.  The
-    reference for the unit-equation form of p_consistency_report."""
+    reference for the unit-equation form of p_consistency_report and, for
+    n <= 4, for its decision on exponent vectors."""
     from modunits.curve_series import _agreement_report
     from modunits.qseries import QSeries, combination
 
@@ -225,6 +227,17 @@ def defining_equation_by_evaluation(expansion):
     N = expansion.N
     value = expansion.eval_poly(expansion.divcache.F(N))
     return vanishing_report("defining_equation", N, expansion.precN, value)
+
+
+def d_consistency_by_evaluation(expansion):
+    """The d report made by evaluating the whole discriminant D = B^3 Q at
+    (b, c) and comparing it with the d series; the reference for
+    d_consistency_report, which compares Q(b, c) with d / b^3."""
+    from modunits.curve_series import _agreement_report
+    from modunits.divpoly import DISCRIMINANT
+
+    return _agreement_report("d_consistency", expansion.N, expansion.precN,
+                             expansion.eval_poly(DISCRIMINANT), expansion.d)
 
 
 def express2_by_series(expansion):
@@ -395,9 +408,9 @@ def factor_P_over_F_by_trial_division(cache, n):
     reference for the closed form read off the divisor walk, which never
     searches for a factor."""
     from modunits.bivar_poly import B
-    from modunits.divpoly import _D_COFACTOR, FactorizationIncomplete
+    from modunits.divpoly import D_COFACTOR, FactorizationIncomplete
 
-    beta, res = _strip_full(cache.P(n), _D_COFACTOR)
+    beta, res = _strip_full(cache.P(n), D_COFACTOR)
     alpha, res = _strip_full(res, B)
     exps = {}
     for d in range(4, n + 1):

@@ -273,6 +273,15 @@ def test_bad_input_is_a_usage_error(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["14..4", "14-4", "4..8,9..7"])
+def test_reversed_range_is_named_empty(spec, capsys):
+    # a reversed range is empty, not a level below 4
+    assert run_cli("verify", "--N", spec) == (2, "")
+    err = capsys.readouterr().err
+    empty = spec.split(",")[-1]
+    assert err == "error: the range %s is empty\n" % empty
+
+
 class _ClosedPipe(io.StringIO):
     def __init__(self, raise_in):
         super().__init__()

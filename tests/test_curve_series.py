@@ -1,3 +1,4 @@
+import io
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -19,9 +20,10 @@ from modunits.curve_series import (
     express2_series_report,
     p_consistency_report,
 )
-from modunits.divpoly import DISCRIMINANT
+from modunits.divpoly import D_COFACTOR, DISCRIMINANT
 from modunits.qseries import QSeries, ZeroSeries
 from support import (
+    d_consistency_by_evaluation,
     defining_equation_by_evaluation,
     eval_poly_by_terms,
     express2_by_series,
@@ -135,12 +137,13 @@ def _window(lhs, rhs):
 
 
 def test_eval_poly_horner_matches_term_evaluation():
-    # P_1..P_{m+2}, F_N and D, as verify evaluates them
+    # P_1..P_{m+2}, F_N, D and its quartic cofactor Q = D / B^3, which
+    # verify evaluates
     for N in range(4, 15):
         exp = _expansion(N, 15 * N)
         pows = {}
         polys = [exp.divcache.P(n) for n in range(1, N // 2 + 3)]
-        polys += [exp.divcache.F(N), DISCRIMINANT]
+        polys += [exp.divcache.F(N), DISCRIMINANT, D_COFACTOR]
         for f in polys:
             got = exp.eval_poly(f)
             want = eval_poly_by_terms(exp, f, pows)
@@ -508,3 +511,102 @@ def test_p4_at_level_4_is_a_vanishing_check():
         lhs = exp.eval_poly(exp.divcache.P(4))
         want = vanishing_report("p_consistency", 4, precN, lhs, n=4)
         assert p_consistency_report(4, 4, expansion=exp) == want, precN
+
+
+def _precisions(N):
+    return sorted(set(range(1, 31)) | {2 * N, 15 * N})
+
+
+@pytest.mark.parametrize("N", range(4, 31))
+def test_low_p_checks_on_vectors_match_series_oracle(N):
+    # P_1..P_4 are monomials, so the checks of n <= 4 compare folded
+    # exponent vectors and signs; they give the reports that evaluating P_n
+    # at (b, c) against the p_n series gives, p_4 at N = 4 (a vanishing
+    # check) and the short windows included
+    for precN in _precisions(N):
+        exp = expand_curve(N, precN)
+        for n in range(1, 5):
+            assert p_consistency_report(N, n, expansion=exp) == p_consistency_undivided(exp, n), (
+                precN, n)
+
+
+@pytest.mark.parametrize("N", range(4, 31))
+def test_d_check_divided_by_b_cubed_matches_evaluation(N):
+    # Q(b, c) against d / b^3, both shifted by q^(3s/N), gives the report of
+    # D(b, c) against d, the empty windows at N = 4 and precN <= 5 included
+    for precN in _precisions(N):
+        exp = expand_curve(N, precN)
+        assert d_consistency_report(N, expansion=exp) == d_consistency_by_evaluation(exp), precN
+
+
+def test_corrupted_p3_fails_like_the_series_oracle(monkeypatch):
+    # p_3 = p_2^3 is the one low identity with content: handing p_3 the
+    # vector of p_{3+N}, or the opposite sign, fails the check on vectors at
+    # the exponent where P_3(b, c) = -b^3 and the p_3 series first differ
+    from modunits import curve_series
+
+    real = curve_series.p_to_h
+
+    def negated(j, M):
+        folded = real(j, M)
+        return folded if j != 3 else (-folded[0], folded[1])
+
+    for N in range(4, 15):
+        for corrupt in (lambda j, M: real(j + N if j == 3 else j, M), negated):
+            monkeypatch.setattr(curve_series, "p_to_h", corrupt)
+            exp = expand_curve(N, 15 * N)
+            report = p_consistency_report(N, 3, expansion=exp)
+            want = p_consistency_undivided(exp, 3)
+            monkeypatch.setattr(curve_series, "p_to_h", real)
+            assert not report["pass"] and "firstFailingExponent" in want, N
+            assert report == want, N
+            assert p_consistency_report(N, 3, 15 * N)["pass"], N
+
+
+def test_d_check_fails_on_shifted_d_vector(monkeypatch):
+    # d times h_k to the least power that keeps it a unit of X1(N) (a vector
+    # of S on the one index k) fails the divided check and the evaluation of
+    # D(b, c) against d at the same exponent
+    from math import gcd, lcm
+
+    from modunits import curve_series
+    from modunits.unit_lattice import ExpVector, is_in_S
+
+    real = curve_series.d_to_h
+    for N in range(4, 15):
+        M = N * gcd(N, 2)
+        for k in range(1, N // 2 + 1):
+            shift = ExpVector.unit(N, k).scale(lcm(12, M // gcd(M, k * k)))
+            assert is_in_S(shift), (N, k)
+            monkeypatch.setattr(curve_series, "d_to_h", lambda L: real(L) + shift)
+            exp = expand_curve(N, 15 * N)
+            report = d_consistency_report(N, expansion=exp)
+            want = d_consistency_by_evaluation(exp)
+            monkeypatch.setattr(curve_series, "d_to_h", real)
+            assert not report["pass"] and "firstFailingExponent" in report, (N, k)
+            assert report == want, (N, k)
+
+
+def test_verify_evaluates_no_low_P_and_no_power_above_b2(monkeypatch):
+    # the checks of n <= 4 read P_1..P_4 as monomials and D is evaluated as
+    # b^3 Q, so verify evaluates none of P_1..P_4 and builds b^2 at most
+    from modunits import cli
+    from modunits.divpoly import DivPolyCache
+
+    low = [DivPolyCache().P(n) for n in range(1, 5)]
+    evaluated, powers = [], set()
+    real_eval, real_bpow = CurveExpansion.eval_poly, CurveExpansion._bpow
+
+    def eval_spy(self, f):
+        evaluated.append(f)
+        return real_eval(self, f)
+
+    def bpow_spy(self, i):
+        powers.add(i)
+        return real_bpow(self, i)
+
+    monkeypatch.setattr(CurveExpansion, "eval_poly", eval_spy)
+    monkeypatch.setattr(CurveExpansion, "_bpow", bpow_spy)
+    assert cli.main(["verify", "--N", "4..14", "--seed", "1"], out=io.StringIO()) == 0
+    assert evaluated and not [f for f in evaluated if f in low]
+    assert max(powers) == 2

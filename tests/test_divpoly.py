@@ -18,7 +18,7 @@ from modunits.bivar_poly import (
     remove_common,
 )
 from modunits.divpoly import (
-    _D_COFACTOR,
+    D_COFACTOR,
     DISCRIMINANT,
     DivPolyCache,
     FactorizationIncomplete,
@@ -148,7 +148,7 @@ def test_f_guard_rejects_broken_structure():
     with pytest.raises(FactorizationIncomplete):
         cache.F(12)
     # an extra quartic factor of D survives every division
-    cache._P[12] = p12 * _D_COFACTOR
+    cache._P[12] = p12 * D_COFACTOR
     with pytest.raises(FactorizationIncomplete):
         cache.F(12)
     cache._P[12] = p12

@@ -189,10 +189,11 @@ def test_product_series_matches_powers_oracle(data):
 
 
 def test_product_series_dictionary_vectors_match_powers_oracle():
-    # the p_n (n <= m + 2), d and v vectors that verify expands at N = 4..14
+    # the p_n (n <= m + 2), d and v vectors that verify expands at N = 4..14,
+    # and the zero vector, the constant 1 that skips the recurrence
     for N in range(4, 15):
         m = N // 2
-        vecs = [d_to_h(N), v_to_h(N)]
+        vecs = [d_to_h(N), v_to_h(N), ExpVector.zero(N)]
         for n in range(1, m + 3):
             folded = p_to_h(n, N)
             if folded is not None:
@@ -201,6 +202,22 @@ def test_product_series_dictionary_vectors_match_powers_oracle():
             for precN in (1, 2, m + 2, 15 * N):
                 assert_same_product(
                     product_series(vec, precN), product_series_by_powers(vec, precN)
+                )
+    # the divided vectors u / p_n and v / p_n of the p-checks at verify's
+    # precision: entries of at most 3 in size (4 at N = 6, n = 5), the
+    # recurrence's common case
+    from support import recurrence_pairs
+
+    for N in range(5, 15):
+        for n in range(5, N // 2 + 3):
+            divisor = p_to_h(n, N)[1]
+            for pairs in recurrence_pairs(n):
+                vec = ExpVector.zero(N) - divisor
+                for k, r in pairs:
+                    vec = vec + p_to_h(k, N)[1].scale(r)
+                assert max(map(abs, vec.e)) <= 4, (N, n, vec)
+                assert_same_product(
+                    product_series(vec, 15 * N), product_series_by_powers(vec, 15 * N)
                 )
 
 
