@@ -14,16 +14,11 @@ from .bivar_poly import (
     RatPoly,
     div_exact,
     parse_poly,
-    remove_common,
     render_poly,
 )
-from .bivar_poly import gcd as poly_gcd
 from .curve_series import (
     CurveExpansion,
     PhaseNotRational,
-    check_d_consistency,
-    check_defining_equation,
-    check_p_consistency,
     expand_curve,
 )
 from .divpoly import DISCRIMINANT, DivPolyCache, FactorizationIncomplete
@@ -34,7 +29,6 @@ from .siegel import (
     ZeroIndexError,
     fold_index,
     h_star,
-    lead_exponent,
     product_series,
 )
 from .unit_lattice import (
@@ -49,7 +43,6 @@ from .unit_lattice import (
     expand_p_expression,
     is_in_S,
     lattice_index,
-    leading_exponent_check,
     p_to_h,
     t_to_h,
     to_p_expression,
@@ -62,8 +55,6 @@ __all__ = [
     "RatPoly",
     "NotDivisible",
     "div_exact",
-    "poly_gcd",
-    "remove_common",
     "render_poly",
     "parse_poly",
     "DivPolyCache",
@@ -75,7 +66,6 @@ __all__ = [
     "BadIndex",
     "ZeroIndexError",
     "h_star",
-    "lead_exponent",
     "fold_index",
     "product_series",
     "ExpVector",
@@ -93,11 +83,7 @@ __all__ = [
     "to_p_expression",
     "expand_p_expression",
     "decompose_series",
-    "leading_exponent_check",
     "CurveExpansion",
     "PhaseNotRational",
     "expand_curve",
-    "check_defining_equation",
-    "check_p_consistency",
-    "check_d_consistency",
 ]

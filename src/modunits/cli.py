@@ -265,9 +265,9 @@ def _roundtrip_report(N, trials, seed, precN):
 def _verify_tasks(N, precN, nmax, trials, seed):
     expansion = curve_series.expand_curve(N, precN)
     reports = [
-        curve_series.defining_equation_report(N, expansion=expansion),
-        curve_series.d_consistency_report(N, expansion=expansion),
-        curve_series.express2_series_report(N, expansion=expansion),
+        curve_series.defining_equation_report(expansion),
+        curve_series.d_consistency_report(expansion),
+        curve_series.express2_series_report(expansion),
         _ledger_report(N),
         _roundtrip_report(N, trials, seed, N // 2 + 2),
     ]
@@ -280,13 +280,17 @@ def _parse_range(spec):
     out = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if ".." in chunk or ("-" in chunk and not chunk.startswith("-")):
-            lo, hi = map(int, chunk.split(".." if ".." in chunk else "-"))
-            if hi < lo:
-                raise ValueError("the range %s is empty" % chunk)
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(chunk))
+        try:
+            if ".." in chunk or ("-" in chunk and not chunk.startswith("-")):
+                lo, hi = map(int, chunk.split(".." if ".." in chunk else "-"))
+            else:
+                lo = hi = int(chunk)
+        except ValueError:
+            msg = "%r in --N %s is not a level or a range a..b" % (chunk, spec)
+            raise ValueError(msg) from None
+        if hi < lo:
+            raise ValueError("the range %s is empty" % chunk)
+        out.extend(range(lo, hi + 1))
     if not out or any(n < 4 for n in out):
         raise ValueError("levels must be integers >= 4")
     return sorted(set(out))

@@ -8,7 +8,8 @@ one Siegel product, built by CurveExpansion.monomial; a factor p_k with
 k = 0 mod N makes it the zero series, which is how c vanishes at N = 4, with
 no branch for that level.  The checks verify, to the tracked precision, that
 P_n(b, c) agrees with the p_n series coming from the exponent dictionary and
-that D(b, c) agrees with d.
+that D(b, c) agrees with d.  Each report takes the CurveExpansion of one
+level and reads its level N and precision precN from it.
 
 Three kinds of check follow from exact identities and build no series on
 success.  F_N(b, c) = 0 is derived as in the paper's proof: the p-checks give
@@ -49,41 +50,21 @@ the zero series, u - v = 0 is decided on the folded vectors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
-from fractions import Fraction
 
 from . import divpoly
 from .qseries import QSeries, ZeroSeries, combination
-from .siegel import product_lead_exponent, product_series
+from .siegel import PhaseNotRational, product_lead_exponent, product_series
 from .unit_lattice import ExpVector, d_to_h, p_to_h, v_to_h
 
 __all__ = [
     "PhaseNotRational",
     "CurveExpansion",
     "expand_curve",
-    "check_defining_equation",
-    "check_p_consistency",
-    "check_d_consistency",
     "defining_equation_report",
     "p_consistency_report",
     "d_consistency_report",
     "express2_series_report",
 ]
-
-
-class PhaseNotRational(ArithmeticError):
-    """A series that must be rational carried an odd power of i."""
-
-
-def _resolve(sign, sp, shift=0):
-    """sign * q^(shift/N) * SiegelProduct -> plain rational QSeries, built in
-    one pass: the sign joins the product's scalar and the shift its leading
-    exponent."""
-    if sp.ipow % 2:
-        raise PhaseNotRational("power of i is %d" % sp.ipow)
-    return replace(
-        sp, scalar=sign * sp.scalar, leadExp=sp.leadExp + Fraction(shift, sp.N)
-    ).to_qseries()
 
 
 class CurveExpansion:
@@ -110,7 +91,7 @@ class CurveExpansion:
     def d(self):
         """The d series, resolved from its memoised Siegel product; verify's
         check of d reads d / b^3 instead and builds no d."""
-        return _resolve(1, self.product(d_to_h(self.N)))
+        return self.product(d_to_h(self.N)).to_qseries()
 
     def product(self, vec):
         """product_series(vec, precN), built once per exponent vector: at small
@@ -150,7 +131,7 @@ class CurveExpansion:
         occurs, the result is the zero series to precN times the product of
         the other factors."""
         vanishes, sign, vec = self.fold(powers)
-        rest = _resolve(sign, self.product(vec), shift)
+        rest = self.product(vec).to_qseries(sign, shift)
         return QSeries.zero(self.N, self.precN) * rest if vanishes else rest
 
     def p(self, n):
@@ -159,9 +140,9 @@ class CurveExpansion:
         return self.monomial({n: 1})
 
     def p_report(self, n):
-        """p_consistency_report(N, n) on this expansion, made once."""
+        """p_consistency_report(self, n), made once."""
         if n not in self._preports:
-            self._preports[n] = p_consistency_report(self.N, n, expansion=self)
+            self._preports[n] = p_consistency_report(self, n)
         return self._preports[n]
 
     def _bpow(self, i):
@@ -195,8 +176,8 @@ def expand_curve(N, precN=None):
     return CurveExpansion(N, precN)
 
 
-def _report(check, N, precN, holds, n=None, bad=None):
-    report = {"check": check, "N": N, "precN": precN, "pass": holds}
+def _report(check, expansion, holds, n=None, bad=None):
+    report = {"check": check, "N": expansion.N, "precN": expansion.precN, "pass": holds}
     if n is not None:
         report["n"] = n
     if bad is not None:
@@ -204,27 +185,27 @@ def _report(check, N, precN, holds, n=None, bad=None):
     return report
 
 
-def _agreement_report(check, N, precN, lhs, rhs, n=None):
+def _agreement_report(check, expansion, lhs, rhs, n=None):
     """Compare lhs and rhs on their common window, from the lower of exponent
     0 and their first tracked exponents up to the lower precision.  A check
     whose window holds no exponent compares nothing and does not pass."""
     bad = lhs.first_difference(rhs)
     window = min(lhs.precN, rhs.precN) - min(0, lhs.ord, rhs.ord)
-    return _report(check, N, precN, bad is None and window > 0, n, bad)
+    return _report(check, expansion, bad is None and window > 0, n, bad)
 
 
-def _exact_report(check, N, precN, holds, locate=None, n=None):
+def _exact_report(check, expansion, holds, locate=None, n=None):
     """The report of a check decided by an exact identity.  When it fails and
     locate is given, locate() returns the two series the identity equates,
     and their first difference in the tracked window, if any, is reported as
     the first failing exponent."""
     if holds or locate is None:
-        return _report(check, N, precN, holds, n)
+        return _report(check, expansion, holds, n)
     lhs, rhs = locate()
-    return _report(check, N, precN, False, n, lhs.first_difference(rhs))
+    return _report(check, expansion, False, n, lhs.first_difference(rhs))
 
 
-def defining_equation_report(N, precN=None, expansion=None):
+def defining_equation_report(expansion):
     """F_N(b, c) = 0, derived from the p-checks; F_N is not built.
 
     For N >= 5 the check holds when the p-checks pass at every index below N
@@ -241,19 +222,14 @@ def defining_equation_report(N, precN=None, expansion=None):
     holds no exponent.  A failing report names no exponent: the failing
     p-check does.
     """
-    if expansion is None:
-        expansion = expand_curve(N, precN)
+    N = expansion.N
     if N == 4:
         holds = expansion.c.precN > 0 and expansion.p_report(4)["pass"]
     else:
         holds = _same_unit(expansion, N) and all(
             expansion.p_report(k)["pass"] for k in _reached(N)
         )
-    return _exact_report("defining_equation", N, expansion.precN, holds)
-
-
-def check_defining_equation(N, precN=None):
-    return defining_equation_report(N, precN)["pass"]
+    return _exact_report("defining_equation", expansion, holds)
 
 
 def _divisor(N, n):
@@ -337,7 +313,7 @@ def _recurrence_series(expansion, n):
     return combination(terms)
 
 
-def p_consistency_report(N, n, precN=None, expansion=None):
+def p_consistency_report(expansion, n):
     """P_n(b, c) agrees with the p_n series (vanishes when n = 0 mod N).
 
     For n <= 4, P_n is one term, so P_n(b, c) is the p-monomial of
@@ -363,30 +339,24 @@ def p_consistency_report(N, n, precN=None, expansion=None):
     unit.  A failure is located by comparing the zero series with u - v.
     This report is not memoised; CurveExpansion.p_report is.
     """
-    if expansion is None:
-        expansion = expand_curve(N, precN)
     if n >= 5:
-        r, s = _divisor(N, n)
+        r, s = _divisor(expansion.N, n)
 
         def compared():
             return expansion.monomial(_over({n: 1}, r), s), _recurrence_series(expansion, n)
 
         if not r:
-            return _exact_report("p_consistency", N, expansion.precN,
-                                 _same_unit(expansion, n), compared, n=n)
-        return _agreement_report("p_consistency", N, expansion.precN, *compared(), n=n)
+            return _exact_report("p_consistency", expansion, _same_unit(expansion, n),
+                                 compared, n=n)
+        return _agreement_report("p_consistency", expansion, *compared(), n=n)
     return _exact_report(
-        "p_consistency", N, expansion.precN,
+        "p_consistency", expansion,
         _same_term(_monomial_fold(expansion, n), expansion.fold({n: 1})),
         lambda: (expansion.eval_poly(expansion.divcache.P(n)), expansion.p(n)), n=n,
     )
 
 
-def check_p_consistency(N, n, precN=None):
-    return p_consistency_report(N, n, precN)["pass"]
-
-
-def d_consistency_report(N, precN=None, expansion=None):
+def d_consistency_report(expansion):
     """D(b, c) agrees with the d series, checked divided by b^3.
 
     D = B^3 Q with Q the quartic divpoly.D_COFACTOR, so the check compares
@@ -398,35 +368,29 @@ def d_consistency_report(N, precN=None, expansion=None):
     exponents, so the verdict and the first failing exponent are those of
     D(b, c) against d, with no power of b above b^2 and no d series built.
     """
-    if expansion is None:
-        expansion = expand_curve(N, precN)
+    N = expansion.N
     s = expansion.b.ord
     q = expansion.eval_poly(divpoly.D_COFACTOR)
     lhs = QSeries(N, q.ord + 3 * s, q.coeffs, q.precN + 3 * s)
     _, sign, vec = expansion.fold({2: 1})
-    rhs = _resolve(-sign, expansion.product(d_to_h(N) - vec.scale(3)), 3 * s)
-    return _agreement_report("d_consistency", N, expansion.precN, lhs, rhs)
+    rhs = expansion.product(d_to_h(N) - vec.scale(3)).to_qseries(-sign, 3 * s)
+    return _agreement_report("d_consistency", expansion, lhs, rhs)
 
 
-def check_d_consistency(N, precN=None):
-    return d_consistency_report(N, precN)["pass"]
-
-
-def express2_series_report(N, precN=None, expansion=None):
+def express2_series_report(expansion):
     """p_{m+1} = v p_m (N odd) or v p_{m-1} (N even), decided on the exponent
     vectors: the two p have one sign and vec p_{m+1} = vec p_partner + vec v.
     Siegel products multiply as their exponent vectors add, so this is the
     series identity to every precision, and no series is built.  A failure
     is located by comparing the p_{m+1} series with the partner's sign times
     the Siegel product of vec p_partner + vec v, which is v p_partner."""
-    if expansion is None:
-        expansion = expand_curve(N, precN)
+    N = expansion.N
     m = N // 2
     partner = m if N % 2 else m - 1
     _, sign, vec = expansion.fold({m + 1: 1})
     _, psign, pvec = expansion.fold({partner: 1})
     rhs = pvec + v_to_h(N)
     return _exact_report(
-        "express2_series", N, expansion.precN, sign == psign and vec == rhs,
-        lambda: (expansion.p(m + 1), _resolve(psign, expansion.product(rhs))), n=m + 1,
+        "express2_series", expansion, sign == psign and vec == rhs,
+        lambda: (expansion.p(m + 1), expansion.product(rhs).to_qseries(psign)), n=m + 1,
     )

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd as _int_gcd
 from operator import mul
 
 from .bivar_poly import pack_slots, unpack_slots
@@ -84,7 +83,7 @@ def combination(terms):
     up to it.  Coefficients beyond it are dropped, none are invented."""
     denomN = terms[0][1].denomN
     if any(s.denomN != denomN for _, s in terms):
-        raise ValueError("exponent denominators differ; rescale first")
+        raise ValueError("the series lie on different exponent grids")
     precN = min(s.precN for _, s in terms)
     lo = min([precN] + [s.ord for _, s in terms if s.coeffs])
     out = [0] * (precN - lo)
@@ -131,12 +130,6 @@ class QSeries:
         return cls(denomN, 0, [1] + [0] * (precN - 1), precN)
 
     @classmethod
-    def monomial(cls, denomN, expnum, precN, coeff=1):
-        if expnum >= precN:
-            raise ValueError("monomial exponent beyond requested precision")
-        return cls(denomN, expnum, [coeff] + [0] * (precN - expnum - 1), precN)
-
-    @classmethod
     def from_terms(cls, denomN, terms, precN):
         """Build from a map {exponent numerator: coefficient}."""
         if not terms:
@@ -180,15 +173,11 @@ class QSeries:
     def __hash__(self):
         return hash((self.denomN, self.ord, self.coeffs, self.precN))
 
-    def agrees_with(self, other):
-        """Equality of all coefficients on the common tracked window."""
-        return self.first_difference(other) is None
-
     def first_difference(self, other):
         """Lowest exponent (as a Fraction) where the two series differ on the
         common window, or None if they agree."""
         if self.denomN != other.denomN:
-            raise ValueError("exponent denominators differ; rescale first")
+            raise ValueError("the series lie on different exponent grids")
         window = min(self.precN, other.precN)
         lo = min(self.ord, other.ord)
         for n in range(lo, window):
@@ -233,7 +222,7 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.denomN != other.denomN:
-            raise ValueError("exponent denominators differ; rescale first")
+            raise ValueError("the series lie on different exponent grids")
         f, g = self, other
         ford = f.ord if f.coeffs else f.precN
         gord = g.ord if g.coeffs else g.precN
@@ -294,52 +283,13 @@ class QSeries:
                 base = base * base
         return result
 
-    def rescale(self, M):
-        """Reinterpret over the finer exponent grid q^(1/M); denomN must divide M."""
-        if M % self.denomN:
-            raise ValueError("denomN must divide the target denominator")
-        k = M // self.denomN
-        if k == 1:
-            return self
-        coeffs = [0] * (len(self.coeffs) * k)
-        for j, c in enumerate(self.coeffs):
-            coeffs[j * k] = c
-        return QSeries(M, self.ord * k, coeffs, self.precN * k)
-
-    # -- reduced form and coefficient predicates -------------------------------
-
-    def reduced_form(self):
-        """(lead, leadExp, fstar) with self = lead * q^leadExp * fstar and
-        fstar having constant term 1."""
-        if not self.coeffs:
-            raise ZeroSeries("zero-to-precision series has no reduced form")
-        c0 = self.coeffs[0]
-        lead = Fraction(c0)
-        lead_exp = Fraction(self.ord, self.denomN)
-        fstar = QSeries(
-            self.denomN,
-            0,
-            [_norm_coeff(Fraction(c) / lead) for c in self.coeffs],
-            self.precN - self.ord,
-        )
-        return lead, lead_exp, fstar
+    # -- integrality ----------------------------------------------------------
 
     def is_integral(self):
         """True when every tracked coefficient is an integer."""
         return all(
             isinstance(c, int) or c.denominator == 1 for c in self.coeffs
         )
-
-    def is_primitive(self):
-        """True when the tracked coefficients are integers with gcd 1."""
-        if not self.coeffs or not self.is_integral():
-            return False
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, int(c))
-            if g == 1:
-                return True
-        return g == 1
 
     # -- presentation --------------------------------------------------------
 

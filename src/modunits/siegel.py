@@ -8,7 +8,10 @@ with w = (a1^2 - a1 + 1/6)/2.  The reduced series (constant term 1) has
 integer coefficients and lives on the q^(1/N) grid; the scalar i and the
 rational exponent w are tracked separately, so the whole computation stays in
 exact rational arithmetic.  Indices outside [1, N/2] fold back via
-h_{-a} = -h_a and h_{(a1+1,0)} = -h_{(a1,0)}.
+h_{-a} = -h_a and h_{(a1+1,0)} = -h_{(a1,0)}.  A product of these functions
+to integer powers is a SiegelProduct: the power of i, the leading exponent
+and the reduced series, which SiegelProduct.to_qseries turns into a plain
+rational series, with a sign and a shift by q^(shift/N), in one pass.
 
 Every reduced series is a finite product of factors (1 - q^(x/N)) below the
 precision, so a product of them to integer powers is prod_x (1 - q^(x/N))^m_x
@@ -30,19 +33,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import TYPE_CHECKING, Optional
 
 from .qseries import QSeries
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .unit_lattice import ExpVector
 
 __all__ = [
     "BadIndex",
     "ZeroIndexError",
+    "PhaseNotRational",
     "SiegelProduct",
     "h_star",
-    "lead_exponent",
     "product_lead_exponent",
     "fold_index",
     "product_series",
@@ -57,18 +56,15 @@ class ZeroIndexError(ValueError):
     """The Siegel function is undefined at lattice points (n = 0 mod N)."""
 
 
+class PhaseNotRational(ArithmeticError):
+    """A series that must be rational carried an odd power of i."""
+
+
 def _check_index(k, N):
     if N < 4:
         raise BadIndex("level N must be at least 4, got %d" % N)
     if not 1 <= k <= N // 2:
         raise BadIndex("index k=%d outside [1, %d] at level %d" % (k, N // 2, N))
-
-
-def lead_exponent(k, N):
-    """The leading q-exponent ((k/N)^2 - k/N + 1/6)/2 of the function at (k/N, 0)."""
-    _check_index(k, N)
-    a = Fraction(k, N)
-    return (a * a - a + Fraction(1, 6)) / 2
 
 
 def _factor_exponents(k, N, precN):
@@ -146,68 +142,40 @@ def fold_index(n, N):
 
 @dataclass(frozen=True)
 class SiegelProduct:
-    """A unit written multiplicatively: scalar * i^ipow * q^leadExp * fstar,
-    with fstar a reduced series (constant term 1)."""
+    """A unit written multiplicatively: i^ipow * q^leadExp * fstar, with fstar
+    a reduced series (constant term 1)."""
 
     N: int
     ipow: int
-    scalar: Fraction
     leadExp: Fraction
     fstar: QSeries
-    evec: Optional["ExpVector"] = None
 
-    def __mul__(self, other):
-        if not isinstance(other, SiegelProduct):
-            return NotImplemented
-        if self.N != other.N:
-            raise ValueError("levels differ")
-        evec = None
-        if self.evec is not None and other.evec is not None:
-            evec = self.evec + other.evec
-        return SiegelProduct(
-            self.N,
-            (self.ipow + other.ipow) % 4,
-            self.scalar * other.scalar,
-            self.leadExp + other.leadExp,
-            self.fstar * other.fstar,
-            evec,
-        )
-
-    def to_qseries(self):
-        """Resolve to a plain rational series; requires an even power of i and
-        a leading exponent on the q^(1/N) grid."""
+    def to_qseries(self, sign=1, shift=0):
+        """sign * q^(shift/N) times the unit, as a plain rational series built
+        in one pass; requires an even power of i and a leading exponent on
+        the q^(1/N) grid."""
         if self.ipow % 2:
-            raise ValueError("phase i^%d is not rational" % self.ipow)
-        shift = self.leadExp * self.N
-        if shift.denominator != 1:
+            raise PhaseNotRational("power of i is %d" % self.ipow)
+        lead = self.leadExp * self.N
+        if lead.denominator != 1:
             raise ValueError(
                 "leading exponent %s is not a multiple of 1/%d" % (self.leadExp, self.N)
             )
-        shift = int(shift)
-        scale = self.scalar if self.ipow == 0 else -self.scalar
-        if scale.denominator == 1:
-            # an int scale keeps int coefficients int (no Fraction round trip)
-            scale = scale.numerator
-        coeffs = [scale * c for c in self.fstar.coeffs]
+        shift += int(lead)
+        if self.ipow:
+            sign = -sign
+        coeffs = [sign * c for c in self.fstar.coeffs]
         return QSeries(
             self.N, self.fstar.ord + shift, coeffs, self.fstar.precN + shift
         )
 
-    def to_obj(self):
-        return {
-            "ipow": self.ipow,
-            "scalar": str(self.scalar),
-            "leadExp": str(self.leadExp),
-            "fstar": self.fstar.to_obj(),
-        }
-
 
 def product_lead_exponent(e):
     """The leading q-exponent of the product over k of the (k/N, 0) Siegel
-    functions to the powers e(k): the sum of e(k) * lead_exponent(k, N), read
-    off the exponent vector without building the series."""
+    functions to the powers e(k): the sum of e(k) ((k/N)^2 - k/N + 1/6) / 2,
+    read off the exponent vector without building the series."""
     N = e.N
-    # ek * lead_exponent(k, N) = ek * (6k^2 - 6kN + N^2) / (12N^2)
+    # ek ((k/N)^2 - k/N + 1/6) / 2 = ek (6k^2 - 6kN + N^2) / (12N^2)
     return Fraction(
         sum(ek * (6 * k * (k - N) + N * N) for k, ek in enumerate(e.e, start=1) if ek),
         12 * N * N,
@@ -222,4 +190,4 @@ def product_series(e, precN):
     N = e.N
     powers = [(k, ek) for k, ek in enumerate(e.e, start=1) if ek]
     fstar = _reduced_series(N, powers, precN)
-    return SiegelProduct(N, sum(e.e) % 4, Fraction(1), product_lead_exponent(e), fstar, e)
+    return SiegelProduct(N, sum(e.e) % 4, product_lead_exponent(e), fstar)

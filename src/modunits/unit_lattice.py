@@ -27,7 +27,7 @@ from math import prod
 from operator import mul
 from typing import Tuple
 
-from .siegel import fold_index, product_lead_exponent, product_series
+from .siegel import fold_index, product_series
 
 __all__ = [
     "ExpVector",
@@ -45,7 +45,6 @@ __all__ = [
     "to_p_expression",
     "expand_p_expression",
     "decompose_series",
-    "leading_exponent_check",
 ]
 
 
@@ -355,9 +354,3 @@ def decompose_series(fstar, N):
     if product_series(e, fstar.precN).fstar != fstar:
         raise NotAUnitProduct("series is not the product of an integral exponent vector")
     return e
-
-
-def leading_exponent_check(e):
-    """Exact test that the leading exponent of the Siegel product of e,
-    sum_k e(k)(6k^2 - 6kN + N^2) / (12 N^2), lies in (1/N)Z."""
-    return (e.N * product_lead_exponent(e)).denominator == 1

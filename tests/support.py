@@ -20,6 +20,12 @@ divpoly_sequential, the reference for the top-down build of P_n, and
 factor_P_over_F_by_trial_division, the reference for the factorisation of
 P_n read off the divisor walk, use the library's products and exact
 division.
+
+A few helpers the library no longer carries, since no command uses them,
+live here: lead_exponent, the leading exponent of one Siegel function, which
+product_series_by_powers sums; compose, substitution into a polynomial of
+Z[B, C], for the specialisation tables of X1(5) and X1(6); and
+coefficient_gcd, for Gauss's lemma on series.
 """
 
 from math import gcd
@@ -83,6 +89,16 @@ def dense_h_star(k, N, cap):
     return dense_product_of_factors(siegel_factor_exponents(k, N, cap), cap)
 
 
+def lead_exponent(k, N):
+    """The leading q-exponent ((k/N)^2 - k/N + 1/6)/2 of the Siegel function
+    at (k/N, 0), 1 <= k <= N/2."""
+    from fractions import Fraction
+
+    assert N >= 4 and 1 <= k <= N // 2, (k, N)
+    a = Fraction(k, N)
+    return (a * a - a + Fraction(1, 6)) / 2
+
+
 def product_series_by_powers(e, precN):
     """product_series by series arithmetic: the product over k of
     h_star(k, N, precN) ** e(k), by the library's binary powering and
@@ -90,7 +106,7 @@ def product_series_by_powers(e, precN):
     from fractions import Fraction
 
     from modunits.qseries import QSeries
-    from modunits.siegel import SiegelProduct, h_star, lead_exponent
+    from modunits.siegel import SiegelProduct, h_star
 
     N = e.N
     lead = Fraction(0)
@@ -100,7 +116,7 @@ def product_series_by_powers(e, precN):
             continue
         lead += ek * lead_exponent(k, N)
         fstar = fstar * h_star(k, N, precN).pow_int(ek)
-    return SiegelProduct(N, sum(e.e) % 4, Fraction(1), lead, fstar, e)
+    return SiegelProduct(N, sum(e.e) % 4, lead, fstar)
 
 
 def p_monomial_by_powers(N, precN, pairs):
@@ -175,12 +191,13 @@ def eval_poly_by_terms(expansion, f, pows=None):
     return acc
 
 
-def vanishing_report(check, N, precN, qs, n=None):
-    """The report of qs against the zero series on their common window."""
+def vanishing_report(check, expansion, qs, n=None):
+    """The report, at the level of expansion, of qs against the zero series
+    on their common window."""
     from modunits.curve_series import _agreement_report
     from modunits.qseries import QSeries
 
-    return _agreement_report(check, N, precN, qs, QSeries.zero(N, qs.precN), n=n)
+    return _agreement_report(check, expansion, qs, QSeries.zero(expansion.N, qs.precN), n=n)
 
 
 def recurrence_pairs(n):
@@ -203,7 +220,7 @@ def p_consistency_undivided(expansion, n):
     from modunits.curve_series import _agreement_report
     from modunits.qseries import QSeries, combination
 
-    N, precN = expansion.N, expansion.precN
+    N = expansion.N
     if n >= 5:
         monomials = []
         for pairs in recurrence_pairs(n):
@@ -216,17 +233,16 @@ def p_consistency_undivided(expansion, n):
     else:
         value = eval_poly_by_terms(expansion, expansion.divcache.P(n))
     if n % N == 0:
-        return vanishing_report("p_consistency", N, precN, value, n=n)
-    return _agreement_report("p_consistency", N, precN, expansion.p(n), value, n=n)
+        return vanishing_report("p_consistency", expansion, value, n=n)
+    return _agreement_report("p_consistency", expansion, expansion.p(n), value, n=n)
 
 
 def defining_equation_by_evaluation(expansion):
     """The defining-equation report made by building F_N and evaluating it at
     (b, c), compared with zero on the tracked window; the reference for
     defining_equation_report, which derives it from the p-checks."""
-    N = expansion.N
-    value = expansion.eval_poly(expansion.divcache.F(N))
-    return vanishing_report("defining_equation", N, expansion.precN, value)
+    value = expansion.eval_poly(expansion.divcache.F(expansion.N))
+    return vanishing_report("defining_equation", expansion, value)
 
 
 def d_consistency_by_evaluation(expansion):
@@ -236,7 +252,7 @@ def d_consistency_by_evaluation(expansion):
     from modunits.curve_series import _agreement_report
     from modunits.divpoly import DISCRIMINANT
 
-    return _agreement_report("d_consistency", expansion.N, expansion.precN,
+    return _agreement_report("d_consistency", expansion,
                              expansion.eval_poly(DISCRIMINANT), expansion.d)
 
 
@@ -252,7 +268,7 @@ def express2_by_series(expansion):
     m = N // 2
     partner = m if N % 2 else m - 1
     v = expansion.product(v_to_h(N)).to_qseries()
-    return _agreement_report("express2_series", N, expansion.precN,
+    return _agreement_report("express2_series", expansion,
                              expansion.p(m + 1), v * expansion.p(partner), n=m + 1)
 
 
@@ -315,6 +331,31 @@ def expand_p_expression_by_vectors(p):
         if s < 0 and ek % 2:
             sign = -sign
     return sign, total
+
+
+def compose(f, bval, cval):
+    """f(bval, cval) in Z[B, C]: the polynomials bval and cval substituted for
+    B and C, term by term with the powers climbed one product at a time."""
+    from modunits.bivar_poly import ONE, ZERO
+
+    def power(cache, base, e):
+        while e not in cache:
+            k = max(cache)
+            cache[k + 1] = cache[k] * base
+        return cache[e]
+
+    pows_b, pows_c = {0: ONE}, {0: ONE}
+    out = ZERO
+    for (i, j), c in sorted(f.terms.items()):
+        out = out + power(pows_b, bval, i) * power(pows_c, cval, j) * c
+    return out
+
+
+def coefficient_gcd(s):
+    """The gcd of the tracked coefficients of an integral series (0 when none
+    is tracked): 1 exactly when the series is primitive."""
+    assert s.is_integral(), s
+    return gcd(*s.coeffs)
 
 
 def sylvester_resultant_in_C(f, g):

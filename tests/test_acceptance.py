@@ -20,20 +20,19 @@ from modunits.curve_series import (
 )
 from modunits.divpoly import DISCRIMINANT, DivPolyCache
 from modunits.qseries import QSeries
-from modunits.siegel import h_star, product_series
+from modunits.siegel import h_star, product_lead_exponent, product_series
 from modunits.unit_lattice import (
     basis_S,
     d_to_h,
     decompose_series,
     expand_p_expression,
     lattice_index,
-    leading_exponent_check,
     p_to_h,
     t_to_h,
     to_p_expression,
     v_to_h,
 )
-from support import random_vector_in_S
+from support import coefficient_gcd, compose, random_vector_in_S
 
 
 def _report(num, name, ok, elapsed, budget=None):
@@ -106,9 +105,9 @@ def test_criterion_02_n5_table():
     c = B  # the B slot plays the univariate variable c
     ok = True
     for n, expected in N5_TABLE.items():
-        got = cache.P(n).compose(c, c)
+        got = compose(cache.P(n), c, c)
         ok = ok and (got.is_zero if expected is None else got == expected)
-    ok = ok and DISCRIMINANT.compose(c, c) == c ** 5 * (c ** 2 - 11 * c - 1)
+    ok = ok and compose(DISCRIMINANT, c, c) == c ** 5 * (c ** 2 - 11 * c - 1)
     _report(2, "N=5 table", ok, time.monotonic() - start, budget=1)
 
 
@@ -132,13 +131,13 @@ def test_criterion_03_n6_table():
     c = B
     ok = True
     for n, row in N6_TABLE.items():
-        got = cache.P(n).compose(c * (c + 1), c)
+        got = compose(cache.P(n), c * (c + 1), c)
         if row is None:
             ok = ok and got.is_zero
         else:
             a, b, sign = row
             ok = ok and got == sign * c ** a * (c + 1) ** b
-    ok = ok and DISCRIMINANT.compose(c * (c + 1), c) == c ** 6 * (c + 1) ** 3 * (
+    ok = ok and compose(DISCRIMINANT, c * (c + 1), c) == c ** 6 * (c + 1) ** 3 * (
         9 * c + 1
     )
     _report(3, "N=6 table", ok, time.monotonic() - start, budget=1)
@@ -148,7 +147,7 @@ def test_criterion_04_defining_equation():
     start = time.monotonic()
     ok = True
     for N in range(4, 13):
-        ok = ok and defining_equation_report(N, 15 * N)["pass"]
+        ok = ok and defining_equation_report(expand_curve(N, 15 * N))["pass"]
     _report(4, "defining equation series", ok, time.monotonic() - start, budget=30)
 
 
@@ -158,7 +157,7 @@ def test_criterion_05_p_consistency():
     for N in range(4, 13):
         expansion = expand_curve(N, 15 * N)
         for n in range(1, N // 2 + 3):
-            ok = ok and p_consistency_report(N, n, expansion=expansion)["pass"]
+            ok = ok and p_consistency_report(expansion, n)["pass"]
     _report(5, "p_n series consistency", ok, time.monotonic() - start, budget=60)
 
 
@@ -166,7 +165,7 @@ def test_criterion_06_express2_series():
     start = time.monotonic()
     ok = True
     for N in range(4, 13):
-        ok = ok and express2_series_report(N, 15 * N)["pass"]
+        ok = ok and express2_series_report(expand_curve(N, 15 * N))["pass"]
     _report(6, "p_{m+1} = v p_partner", ok, time.monotonic() - start)
 
 
@@ -253,10 +252,10 @@ def test_criterion_11_integrality_and_gauss():
         cap = len(a) + len(b)
         f = QSeries(1, 0, a + [0] * (cap - len(a)), cap)
         g = QSeries(1, 0, b + [0] * (cap - len(b)), cap)
-        if not (f.is_primitive() and g.is_primitive()):
+        if not (coefficient_gcd(f) == coefficient_gcd(g) == 1):
             continue
         trials += 1
-        ok = ok and (f * g).is_primitive()
+        ok = ok and coefficient_gcd(f * g) == 1
     _report(11, "integrality and Gauss lemma", ok, time.monotonic() - start)
 
 
@@ -265,7 +264,8 @@ def test_criterion_12_leading_exponent_constraint():
     ok = True
     for N in range(4, 41):
         for vec in basis_S(N):
-            ok = ok and leading_exponent_check(vec)
+            # the leading exponent of the product lies in (1/N)Z
+            ok = ok and (N * product_lead_exponent(vec)).denominator == 1
     _report(12, "leading-exponent constraint", ok, time.monotonic() - start)
 
 

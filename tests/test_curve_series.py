@@ -11,9 +11,6 @@ from modunits.curve_series import (
     CurveExpansion,
     _agreement_report,
     _recurrence_series,
-    check_d_consistency,
-    check_defining_equation,
-    check_p_consistency,
     d_consistency_report,
     defining_equation_report,
     expand_curve,
@@ -40,14 +37,12 @@ def _expansion(N, precN):
 
 
 def test_defining_equation_small_levels():
-    assert check_defining_equation(5, 75)
-    assert check_defining_equation(6, 90)
-    assert check_defining_equation(7, 105)
-    assert check_defining_equation(10, 120)
+    for N, precN in ((5, 75), (6, 90), (7, 105), (10, 120)):
+        assert defining_equation_report(expand_curve(N, precN))["pass"], N
 
 
 def test_defining_equation_report_shape():
-    r = defining_equation_report(5, 40)
+    r = defining_equation_report(expand_curve(5, 40))
     assert r == {"check": "defining_equation", "N": 5, "precN": 40, "pass": True}
 
 
@@ -64,65 +59,77 @@ def test_b_and_c_series_are_integral():
 def test_c_vanishes_at_level_4():
     exp = _expansion(4, 60)
     assert exp.c.is_zero
-    assert check_defining_equation(4, 60)
+    assert defining_equation_report(exp)["pass"]
     # c is tracked to O(q^((precN - 5)/4)), so F_4(b, c) = c covers no
     # exponent >= 0 below precN = 6; a check that compares nothing fails
-    assert not check_defining_equation(4, 1)
-    assert not check_defining_equation(4, 5)
-    assert check_defining_equation(4, 6)
-    assert not check_d_consistency(4, 1)
+    assert not defining_equation_report(expand_curve(4, 1))["pass"]
+    assert not defining_equation_report(expand_curve(4, 5))["pass"]
+    assert defining_equation_report(expand_curve(4, 6))["pass"]
+    assert not d_consistency_report(expand_curve(4, 1))["pass"]
 
 
 def test_n5_series_identities_from_table():
     # on X1(5): c = b, p7 = c^19, p10 = 0, d = c^5 (c^2 - 11 c - 1)
     exp = _expansion(5, 75)
-    assert exp.b.agrees_with(exp.c)
-    assert exp.p(7).agrees_with(exp.c.pow_int(19))
+    assert exp.b.first_difference(exp.c) is None
+    assert exp.p(7).first_difference(exp.c.pow_int(19)) is None
     assert exp.p(10).is_zero
     dpoly = C ** 5 * (C ** 2 - 11 * C - 1)
-    assert exp.d.agrees_with(exp.eval_poly(dpoly))
+    assert exp.d.first_difference(exp.eval_poly(dpoly)) is None
 
 
 def test_n6_series_identities_from_table():
     # on X1(6): p9 = c^33 (c+1)^27
     exp = _expansion(6, 120)
     c1 = exp.c + 1
-    assert exp.p(9).agrees_with(exp.c.pow_int(33) * c1.pow_int(27))
-    assert check_p_consistency(6, 9, 120)
+    assert exp.p(9).first_difference(exp.c.pow_int(33) * c1.pow_int(27)) is None
+    assert p_consistency_report(expand_curve(6, 120), 9)["pass"]
 
 
 def test_p_consistency_vanishing_rows():
     exp = _expansion(5, 75)
-    assert p_consistency_report(5, 10, expansion=exp)["pass"]
-    assert p_consistency_report(5, 5, expansion=exp)["pass"]
+    assert p_consistency_report(exp, 10)["pass"]
+    assert p_consistency_report(exp, 5)["pass"]
 
 
 def test_p_consistency_all_small_levels():
     for N in range(4, 13):
         exp = _expansion(N, 15 * N)
         for n in range(1, N // 2 + 3):
-            assert p_consistency_report(N, n, expansion=exp)["pass"], (N, n)
+            assert p_consistency_report(exp, n)["pass"], (N, n)
 
 
 def test_d_consistency():
     exp5 = _expansion(5, 75)
-    assert d_consistency_report(5, expansion=exp5)["pass"]
-    assert check_d_consistency(6, 90)
-    assert check_d_consistency(8, 96)
+    assert d_consistency_report(exp5)["pass"]
+    assert d_consistency_report(expand_curve(6, 90))["pass"]
+    assert d_consistency_report(expand_curve(8, 96))["pass"]
 
 
 def test_express2_series():
     for N in range(4, 13):
-        assert express2_series_report(N, 10 * N)["pass"], N
+        assert express2_series_report(expand_curve(N, 10 * N))["pass"], N
 
 
 def test_report_records_failure_exponent():
     # a deliberately wrong identity must fail with a located exponent
     exp = _expansion(5, 40)
     bad = exp.eval_poly(B - C - 1)
-    r = vanishing_report("defining_equation", 5, 40, bad)
+    r = vanishing_report("defining_equation", exp, bad)
     assert not r["pass"]
     assert r["firstFailingExponent"] == "0"
+
+
+def test_reports_read_level_and_precision_from_the_expansion():
+    # every report is made at the level and precision of the expansion it is
+    # given, so no report of one level can be computed on another's series
+    exp = expand_curve(9, 40)
+    reports = [defining_equation_report(exp), d_consistency_report(exp),
+               express2_series_report(exp)]
+    reports += [p_consistency_report(exp, n) for n in range(1, 28)]
+    reports += [exp.p_report(n) for n in range(1, 7)]
+    for r in reports:
+        assert (r["N"], r["precN"]) == (9, 40), r
 
 
 def test_expansion_validation():
@@ -175,10 +182,10 @@ def test_recurrence_reports_match_term_evaluation(N):
     for n in range(1, 3 * N + 1):
         value = eval_poly_by_terms(exp, exp.divcache.P(n), pows)
         if n % N == 0:
-            want = vanishing_report("p_consistency", N, exp.precN, value, n=n)
+            want = vanishing_report("p_consistency", exp, value, n=n)
         else:
-            want = _agreement_report("p_consistency", N, exp.precN, value, exp.p(n), n=n)
-        assert p_consistency_report(N, n, expansion=exp) == want, n
+            want = _agreement_report("p_consistency", exp, value, exp.p(n), n=n)
+        assert p_consistency_report(exp, n) == want, n
         if n >= 5:
             rhs = _recurrence_series(exp, n)
             assert _window(exp.p(n), rhs) >= _window(exp.p(n), value), n
@@ -213,7 +220,7 @@ def test_p_consistency_fails_on_perturbed_series(monkeypatch):
 
     for N, n in ((7, 5), (9, 6), (10, 8), (11, 7), (6, 7), (8, 9)):
         exp = expand_curve(N, 6 * N)
-        assert p_consistency_report(N, n, expansion=exp)["pass"]
+        assert p_consistency_report(exp, n)["pass"]
         powers = _powers(recurrence_pairs(n)[0])
         e = exp.monomial(powers).ord + 2
         powers[n] = -1
@@ -222,7 +229,7 @@ def test_p_consistency_fails_on_perturbed_series(monkeypatch):
         coeffs = list(good.fstar.coeffs)
         coeffs[2] += 1
         exp._products[vec] = replace(good, fstar=QSeries(N, 0, coeffs, good.fstar.precN))
-        report = p_consistency_report(N, n, expansion=exp)
+        report = p_consistency_report(exp, n)
         assert not report["pass"], (N, n)
         assert report["firstFailingExponent"] == str(Fraction(e, N)), (N, n)
     # when n = 0 mod N, u and v are one Siegel product (one vector), so no
@@ -236,12 +243,12 @@ def test_p_consistency_fails_on_perturbed_series(monkeypatch):
     for N, n, k in ((6, 6, 5), (5, 5, 4)):
         u, v = (_vector(N, _powers(pairs)) for pairs in recurrence_pairs(n))
         assert u == v, (N, n)
-        assert p_consistency_report(N, n, 6 * N)["pass"], (N, n)
+        assert p_consistency_report(expand_curve(N, 6 * N), n)["pass"], (N, n)
         monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
-        report = p_consistency_report(N, n, 6 * N)
+        report = p_consistency_report(expand_curve(N, 6 * N), n)
         monkeypatch.setattr(curve_series, "p_to_h", real)
         assert not report["pass"], (N, n)
-    assert p_consistency_report(5, 10, 30)["pass"]
+    assert p_consistency_report(expand_curve(5, 30), 10)["pass"]
 
 
 def test_zero_index_check_sees_past_the_window(monkeypatch):
@@ -251,12 +258,12 @@ def test_zero_index_check_sees_past_the_window(monkeypatch):
     from modunits import curve_series
 
     N, n = 5, 15
-    assert p_consistency_report(N, n, 15 * N)["pass"]
+    assert p_consistency_report(expand_curve(N, 15 * N), n)["pass"]
     real = curve_series.p_to_h
     monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == 9 else j, M))
     exp = expand_curve(N, 15 * N)
     assert exp.p(n).first_difference(_recurrence_series(exp, n)) is None
-    report = p_consistency_report(N, n, expansion=exp)
+    report = p_consistency_report(exp, n)
     assert not report["pass"] and "firstFailingExponent" not in report
     # compared past the window, u - v is not zero
     assert p_consistency_undivided(exp, n)["firstFailingExponent"] == "89/5"
@@ -271,9 +278,9 @@ def test_p_consistency_fails_on_corrupted_dictionary(monkeypatch):
     real = curve_series.p_to_h
     for N, n, k in ((7, 5, 5), (9, 6, 6), (10, 8, 8), (11, 7, 7), (6, 7, 7), (5, 9, 9),
                     (6, 6, 5), (5, 5, 4)):
-        assert p_consistency_report(N, n, 6 * N)["pass"], (N, n)
+        assert p_consistency_report(expand_curve(N, 6 * N), n)["pass"], (N, n)
         monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
-        report = p_consistency_report(N, n, 6 * N)
+        report = p_consistency_report(expand_curve(N, 6 * N), n)
         monkeypatch.setattr(curve_series, "p_to_h", real)
         assert not report["pass"] and "firstFailingExponent" in report, (N, n, k)
 
@@ -290,7 +297,7 @@ def test_divided_check_matches_undivided_oracle(N):
         exp = expand_curve(N, precN)
         for n in ns:
             want = p_consistency_undivided(exp, n)
-            assert p_consistency_report(N, n, expansion=exp) == want, (precN, n)
+            assert p_consistency_report(exp, n) == want, (precN, n)
 
 
 def test_c_is_one_siegel_product():
@@ -308,18 +315,18 @@ def test_express2_reads_the_level_expansion(monkeypatch):
     for N in range(4, 21):
         precN = 15 * N
         exp = expand_curve(N, precN)
-        report = express2_series_report(N, expansion=exp)
-        assert report == express2_series_report(N) == express2_series_report(N, precN), N
+        report = express2_series_report(exp)
+        assert report == express2_series_report(expand_curve(N)), N
         assert report["pass"] and report["n"] == N // 2 + 1, N
         # v resolved on its own times the resolved partner is the product
         # taken as Siegel products: same window, same precision
         m = N // 2
         partner = m if N % 2 else m - 1
         sign, vec = p_to_h(partner, N)
-        joint = product_series(v_to_h(N), precN) * product_series(vec, precN)
+        joint = product_series(v_to_h(N) + vec, precN)
         assert exp.product(v_to_h(N)).ipow == 0, N
         assert exp.product(v_to_h(N)).to_qseries() * exp.p(partner) == (
-            joint.to_qseries() * sign
+            joint.to_qseries(sign)
         ), N
         # and p_{m+1} and the partner are read off p_to_h: handing either the
         # vector of p_{k+N}, a different unit, fails the check, at the
@@ -327,7 +334,7 @@ def test_express2_reads_the_level_expansion(monkeypatch):
         real = curve_series.p_to_h
         for k in (m + 1, partner):
             monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
-            bad = express2_series_report(N, precN)
+            bad = express2_series_report(expand_curve(N, precN))
             want = express2_by_series(expand_curve(N, precN))
             monkeypatch.setattr(curve_series, "p_to_h", real)
             assert not bad["pass"] and "firstFailingExponent" in bad, (N, k)
@@ -422,9 +429,9 @@ def test_verify_makes_each_p_check_once(monkeypatch):
     made = Counter()
     real = curve_series.p_consistency_report
 
-    def counted(N, n, precN=None, expansion=None):
+    def counted(expansion, n):
         made[n] += 1
-        return real(N, n, precN, expansion)
+        return real(expansion, n)
 
     monkeypatch.setattr(curve_series, "p_consistency_report", counted)
     for N in range(4, 21):
@@ -434,7 +441,7 @@ def test_verify_makes_each_p_check_once(monkeypatch):
 
 
 def test_monomial_scales_no_series(monkeypatch):
-    # the sign of a resolved Siegel product joins its scalar, so monomial
+    # to_qseries applies the sign of a resolved Siegel product, so monomial
     # builds each series in one pass, with no scaling by an int after it
     scalings = []
     real = QSeries.__mul__
@@ -465,8 +472,8 @@ def test_derived_reports_match_series_oracles(N):
     precs = [15 * N] + (list(range(1, 31)) if N <= 9 else [])
     for precN in precs:
         exp = expand_curve(N, precN)
-        assert defining_equation_report(N, expansion=exp) == defining_equation_by_evaluation(exp), precN
-        assert express2_series_report(N, expansion=exp) == express2_by_series(exp), precN
+        assert defining_equation_report(exp) == defining_equation_by_evaluation(exp), precN
+        assert express2_series_report(exp) == express2_by_series(exp), precN
 
 
 def test_corrupted_dictionary_fails_both_forms(monkeypatch):
@@ -495,10 +502,10 @@ def test_corrupted_dictionary_fails_both_forms(monkeypatch):
             monkeypatch.setattr(curve_series, "p_to_h", corrupt(k, N))
             exp = expand_curve(N, 15 * N)
             if k in (2, 4) and corrupt is shifted:
-                assert not defining_equation_report(N, expansion=exp)["pass"], (N, k, corrupt)
+                assert not defining_equation_report(exp)["pass"], (N, k, corrupt)
                 assert not defining_equation_by_evaluation(exp)["pass"], (N, k, corrupt)
             if k in (m + 1, partner):
-                assert not express2_series_report(N, expansion=exp)["pass"], (N, k, corrupt)
+                assert not express2_series_report(exp)["pass"], (N, k, corrupt)
                 assert not express2_by_series(exp)["pass"], (N, k, corrupt)
             monkeypatch.setattr(curve_series, "p_to_h", real)
 
@@ -509,8 +516,8 @@ def test_p4_at_level_4_is_a_vanishing_check():
     for precN in range(1, 21):
         exp = expand_curve(4, precN)
         lhs = exp.eval_poly(exp.divcache.P(4))
-        want = vanishing_report("p_consistency", 4, precN, lhs, n=4)
-        assert p_consistency_report(4, 4, expansion=exp) == want, precN
+        want = vanishing_report("p_consistency", exp, lhs, n=4)
+        assert p_consistency_report(exp, 4) == want, precN
 
 
 def _precisions(N):
@@ -526,7 +533,7 @@ def test_low_p_checks_on_vectors_match_series_oracle(N):
     for precN in _precisions(N):
         exp = expand_curve(N, precN)
         for n in range(1, 5):
-            assert p_consistency_report(N, n, expansion=exp) == p_consistency_undivided(exp, n), (
+            assert p_consistency_report(exp, n) == p_consistency_undivided(exp, n), (
                 precN, n)
 
 
@@ -536,7 +543,7 @@ def test_d_check_divided_by_b_cubed_matches_evaluation(N):
     # D(b, c) against d, the empty windows at N = 4 and precN <= 5 included
     for precN in _precisions(N):
         exp = expand_curve(N, precN)
-        assert d_consistency_report(N, expansion=exp) == d_consistency_by_evaluation(exp), precN
+        assert d_consistency_report(exp) == d_consistency_by_evaluation(exp), precN
 
 
 def test_corrupted_p3_fails_like_the_series_oracle(monkeypatch):
@@ -555,12 +562,12 @@ def test_corrupted_p3_fails_like_the_series_oracle(monkeypatch):
         for corrupt in (lambda j, M: real(j + N if j == 3 else j, M), negated):
             monkeypatch.setattr(curve_series, "p_to_h", corrupt)
             exp = expand_curve(N, 15 * N)
-            report = p_consistency_report(N, 3, expansion=exp)
+            report = p_consistency_report(exp, 3)
             want = p_consistency_undivided(exp, 3)
             monkeypatch.setattr(curve_series, "p_to_h", real)
             assert not report["pass"] and "firstFailingExponent" in want, N
             assert report == want, N
-            assert p_consistency_report(N, 3, 15 * N)["pass"], N
+            assert p_consistency_report(expand_curve(N, 15 * N), 3)["pass"], N
 
 
 def test_d_check_fails_on_shifted_d_vector(monkeypatch):
@@ -580,7 +587,7 @@ def test_d_check_fails_on_shifted_d_vector(monkeypatch):
             assert is_in_S(shift), (N, k)
             monkeypatch.setattr(curve_series, "d_to_h", lambda L: real(L) + shift)
             exp = expand_curve(N, 15 * N)
-            report = d_consistency_report(N, expansion=exp)
+            report = d_consistency_report(exp)
             want = d_consistency_by_evaluation(exp)
             monkeypatch.setattr(curve_series, "d_to_h", real)
             assert not report["pass"] and "firstFailingExponent" in report, (N, k)

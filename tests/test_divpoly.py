@@ -23,7 +23,7 @@ from modunits.divpoly import (
     DivPolyCache,
     FactorizationIncomplete,
 )
-from support import divpoly_sequential, factor_P_over_F_by_trial_division
+from support import compose, divpoly_sequential, factor_P_over_F_by_trial_division
 
 # the printed tables, in factored form
 P_TABLE = {
@@ -81,8 +81,8 @@ def test_discriminant_structure():
     assert d.coefficient(3, 4) == 1
     # N=5 and N=6 specialisations of D from the example tables
     c = B  # use the B slot as the univariate c
-    assert d.compose(c, c) == c ** 5 * (c ** 2 - 11 * c - 1)
-    assert d.compose(c * (c + 1), c) == c ** 6 * (c + 1) ** 3 * (9 * c + 1)
+    assert compose(d, c, c) == c ** 5 * (c ** 2 - 11 * c - 1)
+    assert compose(d, c * (c + 1), c) == c ** 6 * (c + 1) ** 3 * (9 * c + 1)
 
 
 def test_recurrence_identity_random_indices():
@@ -186,7 +186,7 @@ def test_specialisation_table_n5():
     c = B
     cache = DivPolyCache()
     for n, row in N5_TABLE.items():
-        got = cache.P(n).compose(c, c)
+        got = compose(cache.P(n), c, c)
         if row is None:
             assert got == ZERO, "p_%d" % n
         else:
@@ -198,7 +198,7 @@ def test_specialisation_table_n6():
     c = B
     cache = DivPolyCache()
     for n, row in N6_TABLE.items():
-        got = cache.P(n).compose(c * (c + 1), c)
+        got = compose(cache.P(n), c * (c + 1), c)
         if row is None:
             assert got == ZERO, "p_%d" % n
         else:

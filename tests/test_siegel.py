@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -8,17 +9,19 @@ from hypothesis import given, settings, strategies as st
 from modunits.qseries import QSeries
 from modunits.siegel import (
     BadIndex,
+    PhaseNotRational,
     SiegelProduct,
     ZeroIndexError,
     fold_index,
     h_star,
-    lead_exponent,
+    product_lead_exponent,
     product_series,
 )
 from modunits.unit_lattice import ExpVector, d_to_h, p_to_h, t_to_h, v_to_h
 from support import (
     dense_h_star,
     dense_product_of_factors,
+    lead_exponent,
     product_series_by_powers,
     siegel_factor_exponents,
 )
@@ -59,8 +62,8 @@ def test_single_factor_lead_exponent():
     sp = product_series(ExpVector.unit(7, 1), 5)
     assert sp.ipow == 1
     assert sp.leadExp == Fraction(13, 588)
-    lead, lead_exp, fstar = sp.fstar.reduced_form()
-    assert (lead, lead_exp) == (1, 0) and fstar == sp.fstar
+    # the series is already reduced: it starts 1 + ... at exponent 0
+    assert sp.fstar.ord == 0 and sp.fstar.coeffs[0] == 1
 
 
 def test_product_lead_exponent_is_the_sum_of_lead_exponents():
@@ -97,10 +100,11 @@ def test_first_nonconstant_term():
 
 
 def test_lead_exponent_values():
-    assert lead_exponent(1, 7) == Fraction(13, 588)
-    assert lead_exponent(2, 4) == Fraction(-1, 24)
-    assert lead_exponent(5, 10) == Fraction(-1, 24)
-    assert lead_exponent(1, 6) == Fraction(1, 72)
+    # the oracle and the library's vector form, on unit vectors
+    for k, N, want in ((1, 7, Fraction(13, 588)), (2, 4, Fraction(-1, 24)),
+                       (5, 10, Fraction(-1, 24)), (1, 6, Fraction(1, 72))):
+        assert lead_exponent(k, N) == want
+        assert product_lead_exponent(ExpVector.unit(N, k)) == want
 
 
 def test_fold_index_examples():
@@ -153,18 +157,10 @@ def test_product_series_homomorphism():
     e1 = ExpVector(N, (2, -1, 0, 3))
     e2 = ExpVector(N, (-1, 4, -2, 0))
     lhs = product_series(e1 + e2, 9)
-    rhs = product_series(e1, 9) * product_series(e2, 9)
-    assert lhs.ipow == rhs.ipow
-    assert lhs.leadExp == rhs.leadExp
-    assert lhs.fstar.agrees_with(rhs.fstar)
-
-
-def test_siegel_product_json():
-    sp = product_series(d_to_h(7), 6)
-    obj = sp.to_obj()
-    assert obj["ipow"] == 0
-    assert obj["leadExp"] == "1"
-    assert obj["fstar"]["denomN"] == 7
+    f1, f2 = product_series(e1, 9), product_series(e2, 9)
+    assert lhs.ipow == (f1.ipow + f2.ipow) % 4
+    assert lhs.leadExp == f1.leadExp + f2.leadExp
+    assert lhs.fstar.first_difference(f1.fstar * f2.fstar) is None
 
 
 def assert_same_product(got, want):
@@ -174,7 +170,6 @@ def assert_same_product(got, want):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
     assert all(type(c) is int for c in got.fstar.coeffs)
     assert all(type(c) is int for c in want.fstar.coeffs)
-    assert type(got.scalar) is type(want.scalar) is Fraction
 
 
 @settings(max_examples=15, deadline=None)
@@ -243,18 +238,25 @@ def test_product_series_rejects_non_positive_precision():
 
 
 def test_to_qseries_keeps_int_coefficients():
-    # an integral scale multiplies the int coefficients as ints; the series is
-    # the one the Fraction products give
+    # sign * q^(shift/N) times the unit, with i^2 = -1 folded into the sign:
+    # int coefficients stay int, and the window moves with the shift
     for N, vec in ((7, d_to_h(7)), (11, p_to_h(6, 11)[1]), (10, p_to_h(4, 10)[1])):
         sp = product_series(vec, 4 * N)
-        shift = sp.leadExp * N
-        for ipow, scalar in ((0, Fraction(1)), (2, Fraction(1)), (0, Fraction(-3)),
-                             (2, Fraction(5, 2))):
-            scaled = SiegelProduct(N, ipow, scalar, sp.leadExp, sp.fstar)
-            qs = scaled.to_qseries()
-            scale = scalar if ipow == 0 else -scalar
-            want = QSeries(N, int(shift), [scale * c for c in sp.fstar.coeffs],
-                           sp.fstar.precN + int(shift))
+        lead = int(sp.leadExp * N)
+        for ipow, sign, shift in itertools.product((0, 2), (1, -1), (0, 3, -2)):
+            qs = SiegelProduct(N, ipow, sp.leadExp, sp.fstar).to_qseries(sign, shift)
+            scale = sign if ipow == 0 else -sign
+            want = QSeries(N, lead + shift, [scale * c for c in sp.fstar.coeffs],
+                           sp.fstar.precN + lead + shift)
             assert qs == want
-            if scale.denominator == 1:
-                assert all(type(c) is int for c in qs.coeffs)
+            assert all(type(c) is int for c in qs.coeffs)
+
+
+def test_to_qseries_rejects_odd_phase_and_off_grid_exponent():
+    fstar = QSeries.one(7, 5)
+    with pytest.raises(PhaseNotRational):
+        SiegelProduct(7, 1, Fraction(0), fstar).to_qseries()
+    with pytest.raises(PhaseNotRational):
+        product_series(ExpVector.unit(7, 1), 5).to_qseries()
+    with pytest.raises(ValueError):
+        SiegelProduct(7, 0, Fraction(1, 14), fstar).to_qseries()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modunits.qseries import QSeries
-from modunits.siegel import h_star, product_series
+from modunits.siegel import h_star, product_lead_exponent, product_series
 from modunits.unit_lattice import (
     ExpVector,
     InsufficientPrecision,
@@ -19,7 +19,6 @@ from modunits.unit_lattice import (
     expand_p_expression,
     is_in_S,
     lattice_index,
-    leading_exponent_check,
     p_to_h,
     t_to_h,
     to_p_expression,
@@ -226,13 +225,18 @@ def test_rationality_and_integrality_for_S_products():
             assert sp.fstar.is_integral()
 
 
+def _lead_on_grid(e):
+    """Whether the leading exponent of the Siegel product of e lies in (1/N)Z."""
+    return (e.N * product_lead_exponent(e)).denominator == 1
+
+
 def test_leading_exponent_check():
     for N in (5, 8, 13):
         for vec in basis_S(N):
-            assert leading_exponent_check(vec)
-    assert leading_exponent_check(d_to_h(9))
+            assert _lead_on_grid(vec)
+    assert _lead_on_grid(d_to_h(9))
     # direct arithmetic on a vector outside S: value 13/588 is not in (1/7)Z
-    assert not leading_exponent_check(ExpVector(7, (1, 0, 0)))
+    assert not _lead_on_grid(ExpVector(7, (1, 0, 0)))
 
 
 @settings(max_examples=60)
@@ -244,7 +248,7 @@ def test_leading_exponent_check_on_S(N, data):
     for c, bvec in zip(coeffs, basis):
         vec = vec + bvec.scale(c)
     assert is_in_S(vec)
-    assert leading_exponent_check(vec)
+    assert _lead_on_grid(vec)
 
 
 def test_exp_vector_json():
