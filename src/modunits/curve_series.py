@@ -6,45 +6,48 @@ d is the series of (t h_{(1/N,0)})^12.  Every product of powers of the p_k
 (p_n itself, c = -p_4 / p_2^5 and the monomials of the recurrence below) is
 one Siegel product, built by CurveExpansion.monomial; a factor p_k with
 k = 0 mod N makes it the zero series, which is how c vanishes at N = 4, with
-no branch for that level.  The checks verify, to the tracked precision, that
-P_n(b, c) agrees with the p_n series coming from the exponent dictionary and
-that D(b, c) agrees with d.  Each report takes the CurveExpansion of one
-level and reads its level N and precision precN from it.
+no branch for that level.  The checks verify that P_n(b, c) agrees with the
+p_n series coming from the exponent dictionary and that D(b, c) agrees with
+d.  Each report takes the CurveExpansion of one level and reads its level N
+and precision precN from it.
 
-Three kinds of check follow from exact identities and build no series on
-success.  F_N(b, c) = 0 is derived as in the paper's proof: the p-checks give
-P_k(b, c) = p_k at every index k < N that the recursion for P_N reaches, u
-and v of the recurrence at n = N fold to one unit, so P_N(b, c) = 0, and
-P_N = +-B^(a_N) prod F_d with every other factor a unit at (b, c).  It
-holds to the precision those p-checks compared; a proof of each would make
-it exact.  At N = 4 it is tautological (F_4 = C and c is exactly zero) and
-passes when the p-check of n = 4 does and c's window is not empty.
-p_{m+1} = v p_partner is decided on the exponent vectors, and holds exactly
-when they add up with equal signs.
+The p-checks, the p_{m+1} identity and the defining equation are identities
+between Siegel products, and one rule decides them all (_identity_report).
+Each side is folded to terms +-(one Siegel product), and the terms of the
+difference are grouped by exponent vector, those with a zero factor
+dropped.  By Kubert-Lang independence, products with distinct vectors have
+a non-constant quotient: at the lowest x with m_x != 0 the reduced quotient
+has a nonzero coefficient at q^(x/N).  So when every group cancels the
+identity holds exactly, with no series built; when one or two groups are
+left it fails exactly, also on a mismatch beyond the tracked window.  Only
+three or more groups left make a genuine unit equation, compared as series
+to the tracked precision: every term is divided by the left side's unit r
+(r = 1 when the left side vanishes) and shifted by q^(s/N), s/N the leading
+exponent of r.  Dividing by r = +-q^(s/N) (1 + ...) keeps the lowest
+exponent of every difference and the shift puts the window back on the
+left side's exponents, so the window, the verdict and the first failing
+exponent are those of the undivided sides.  The divided vectors are small
+(at N = 14, u/p_9 has (-3, 0, 0, 3, -1, 1, 0) against
+(156, -240, 80, 3, 0, 1, 0) for u), so those series run on few-bit
+integers.  An exact failure is located by the same divided comparison.
 
-The p_n checks for n <= 4 are the third kind.  P_1..P_4 are the monomials
-1, -B, -B^3 and C B^5, so P_n(b, c) is a p-monomial in p_2 and p_4, and
-P_n(b, c) = p_n is an identity of Siegel products: it holds exactly when
-the two fold to one vector with one sign (Kubert-Lang), or both carry a
-zero factor (n = N = 4).  Only p_3 = p_2^3 has content; the other three
-restate the definitions of b and c.  A failure is located by evaluating P_n
-at (b, c) and comparing it with the p_n series.
+For n <= 4, P_n is one term (1, -B, -B^3, C B^5), so the check of p_n
+compares p_n with one p-monomial in p_2 and p_4; only p_3 = p_2^3 has
+content.  For n >= 5 it verifies that the p_n series satisfy the
+division-polynomial recurrence p_n = u - v that builds P_n
+(divpoly.DivPolyCache); by induction on n this is equivalent to
+P_n(b, c) = p_n, without the powers of b up to deg_B P_n.  F_N(b, c) = 0 is
+derived as in the paper's proof: the p-checks give P_k(b, c) = p_k at every
+index k < N that the recursion for P_N reaches, u and v of the recurrence
+at n = N cancel, so P_N(b, c) = 0, and P_N = +-B^(a_N) prod F_d with every
+other factor a unit at (b, c).  It holds to the precision those p-checks
+compared; a proof of each would make it exact.  At N = 4 it is tautological
+(F_4 = C and c is exactly zero) and passes when the p-check of n = 4 does
+and c's window is not empty.
 
 Polynomials are evaluated by Horner in C.  D(b, c) = d is checked divided
 by b^3, as the quartic D / B^3 at (b, c) against the one Siegel product
-d / b^3, so no power of b above b^2 is built.  For n >= 5 the p_n check
-verifies that the p_n series satisfy the division-polynomial recurrence
-p_n = u - v that builds P_n (divpoly.DivPolyCache); by induction on n this
-is equivalent to P_n(b, c) = p_n, without the powers of b up to deg_B P_n.
-
-For n != 0 mod N the recurrence is checked as a unit equation, divided by
-r = p_n: q^(s/N) p_n / r against q^(s/N) (u/r - v/r), each term one Siegel
-product, with s/N the leading exponent of r.  The divided exponent vectors
-are small (at N = 14, u/p_9 has (-3, 0, 0, 3, -1, 1, 0) against
-(156, -240, 80, 3, 0, 1, 0) for u), so the series recurrence runs on
-few-bit integers, and the shift by q^(s/N) keeps the window and the first
-failing exponent those of p_n against u - v.  For n = 0 mod N, where p_n is
-the zero series, u - v = 0 is decided on the folded vectors.
+d / b^3, so no power of b above b^2 is built.
 """
 
 from __future__ import annotations
@@ -125,13 +128,13 @@ class CurveExpansion:
                 e[i] += r * x
         return vanishes, sign, ExpVector(N, e)
 
-    def monomial(self, powers, shift=0):
-        """q^(shift/N) prod p_k^r over the (k, r) items of powers, as the one
-        Siegel product that fold gives.  When a factor p_k with k = 0 mod N
-        occurs, the result is the zero series to precN times the product of
-        the other factors."""
+    def monomial(self, powers):
+        """prod p_k^r over the (k, r) items of powers, as the one Siegel
+        product that fold gives.  When a factor p_k with k = 0 mod N occurs,
+        the result is the zero series to precN times the product of the other
+        factors."""
         vanishes, sign, vec = self.fold(powers)
-        rest = self.product(vec).to_qseries(sign, shift)
+        rest = self.product(vec).to_qseries(sign)
         return QSeries.zero(self.N, self.precN) * rest if vanishes else rest
 
     def p(self, n):
@@ -194,15 +197,57 @@ def _agreement_report(check, expansion, lhs, rhs, n=None):
     return _report(check, expansion, bad is None and window > 0, n, bad)
 
 
-def _exact_report(check, expansion, holds, locate=None, n=None):
-    """The report of a check decided by an exact identity.  When it fails and
-    locate is given, locate() returns the two series the identity equates,
-    and their first difference in the tracked window, if any, is reported as
-    the first failing exponent."""
-    if holds or locate is None:
-        return _report(check, expansion, holds, n)
-    lhs, rhs = locate()
-    return _report(check, expansion, False, n, lhs.first_difference(rhs))
+def _grouped(terms):
+    """sum coeff * term over the (coeff, fold) pairs, each fold
+    (vanishes, sign, vec) from CurveExpansion.fold: the signed coefficient of
+    every exponent vector whose terms do not cancel, those with a zero factor
+    dropped."""
+    groups = Counter()
+    for coeff, (vanishes, sign, vec) in terms:
+        if not vanishes:
+            groups[vec] += coeff * sign
+    return {vec: coeff for vec, coeff in groups.items() if coeff}
+
+
+def _divided(expansion, lhs, rhs):
+    """The sides of lhs = sum coeff * term over the (coeff, fold) pairs of
+    rhs as series, each divided by the unit r of lhs (r = 1 when lhs
+    vanishes) and shifted by q^(s/N), s/N the leading exponent of r: lhs
+    becomes q^(s/N) (the zero series when it vanishes) and each term one
+    Siegel product; a term with a zero factor is dropped."""
+    N = expansion.N
+    vanishes, rsign, rvec = lhs
+    if vanishes:
+        rsign, rvec, s = 1, ExpVector.zero(N), 0
+    else:
+        # r lies on the q^(1/N) grid, so s is an integer
+        s = int(N * product_lead_exponent(rvec))
+
+    def series(fold):
+        _, sign, vec = fold
+        return expansion.product(vec - rvec).to_qseries(sign * rsign, s)
+
+    zero = QSeries.zero(N, expansion.precN + s)
+    left = zero if vanishes else series(lhs)
+    terms = [(coeff, series(fold)) for coeff, fold in rhs if not fold[0]]
+    return left, combination(terms) if terms else zero
+
+
+def _identity_report(check, expansion, lhs, rhs, n=None):
+    """The report of lhs = sum coeff * term over the (coeff, fold) pairs of
+    rhs, an identity of Siegel products.  It passes when the groups of
+    rhs - lhs all cancel and fails when one or two are left, as products with
+    distinct vectors are independent; either way the verdict is exact and a
+    passing check builds no series.  With three or more groups left it is a
+    unit equation, decided by comparing the divided sides (_divided) on the
+    tracked window; that comparison also locates an exact failure."""
+    left = _grouped([(-1, lhs)] + rhs)
+    if not left:
+        return _report(check, expansion, True, n)
+    lseries, rseries = _divided(expansion, lhs, rhs)
+    if len(left) > 2:
+        return _agreement_report(check, expansion, lseries, rseries, n)
+    return _report(check, expansion, False, n, lseries.first_difference(rseries))
 
 
 def defining_equation_report(expansion):
@@ -210,8 +255,8 @@ def defining_equation_report(expansion):
 
     For N >= 5 the check holds when the p-checks pass at every index below N
     that the top-down recursion for P_N reaches (_reached), so that
-    P_k(b, c) = p_k there, and when at n = N the recurrence's u and v fold to
-    one unit, so that P_N(b, c) = u - v = 0.  Since P_N = +-B^(a_N) prod F_d
+    P_k(b, c) = p_k there, and when at n = N the recurrence's u and v cancel
+    (_grouped), so that P_N(b, c) = u - v = 0.  Since P_N = +-B^(a_N) prod F_d
     over the divisors d >= 4 of N, b = -p_2 is a unit and each F_d with d < N
     divides P_d, whose value p_d is a unit, F_N(b, c) = 0 follows.  It holds
     to the precision those p-checks compared.
@@ -226,28 +271,11 @@ def defining_equation_report(expansion):
     if N == 4:
         holds = expansion.c.precN > 0 and expansion.p_report(4)["pass"]
     else:
-        holds = _same_unit(expansion, N) and all(
+        u, v = (expansion.fold(pw) for pw in _recurrence_powers(N))
+        holds = not _grouped([(1, u), (-1, v)]) and all(
             expansion.p_report(k)["pass"] for k in _reached(N)
         )
-    return _exact_report("defining_equation", expansion, holds)
-
-
-def _divisor(N, n):
-    """The unit r that the check of p_n divides by, as a power dict, and
-    s = N * leadExp(r), read off the exponent vector: r = p_n, or r = 1 (the
-    empty dict, s = 0) when n = 0 mod N and p_n is the zero series."""
-    folded = p_to_h(n, N)
-    if folded is None:
-        return {}, 0
-    # p_n lies on the q^(1/N) grid, so s is an integer
-    return {n: 1}, int(N * product_lead_exponent(folded[1]))
-
-
-def _over(powers, r):
-    """The power dict of prod p_k^r over powers, divided by the monomial r."""
-    out = Counter(powers)
-    out.subtract(r)
-    return out
+    return _report("defining_equation", expansion, holds)
 
 
 def _recurrence_powers(n):
@@ -259,9 +287,13 @@ def _recurrence_powers(n):
     l = n // 2
     if n % 2:
         return {l + 2: 1, l: 3}, {l + 1: 3, l - 1: 1}
+    u, v = Counter((l, l + 2)), Counter((l, l - 2))
     # l - 1 or l - 2 can be 2 itself
-    return (_over({l: 1, l + 2: 1, l - 1: 2}, {2: 1}),
-            _over({l: 1, l - 2: 1, l + 1: 2}, {2: 1}))
+    u[l - 1] += 2
+    v[l + 1] += 2
+    u[2] -= 1
+    v[2] -= 1
+    return u, v
 
 
 def _reached(N):
@@ -278,82 +310,26 @@ def _reached(N):
     return sorted(seen)
 
 
-def _same_term(u, v):
-    """Whether two folds (vanishes, sign, vec) are one term: both the zero
-    series, or one exponent vector with one sign."""
-    return (u[0] and v[0]) or u == v
-
-
-def _same_unit(expansion, n):
-    """Whether u and v of the recurrence for p_n fold to one term, so
-    u - v = 0 exactly."""
-    return _same_term(*(expansion.fold(pw) for pw in _recurrence_powers(n)))
-
-
-def _monomial_fold(expansion, n):
-    """P_n(b, c) for n <= 4, folded: P_n is one term eps B^i C^j and
-    b = -p_2, c = -p_4 / p_2^5, so P_n(b, c) is the p-monomial
-    eps (-1)^(i+j) p_2^(i-5j) p_4^j."""
-    ((i, j), eps), = expansion.divcache.P(n).terms.items()
-    vanishes, sign, vec = expansion.fold({2: i - 5 * j, 4: j})
-    return vanishes, eps * (-1) ** (i + j) * sign, vec
-
-
-def _recurrence_series(expansion, n):
-    """The right side of the check of p_n, n >= 5: q^(s/N) (u - v) / r with
-    (r, s) = _divisor(N, n) and u, v from _recurrence_powers.  Each term is
-    one Siegel product; a monomial with a zero factor (the zero series) is
-    dropped."""
-    r, s = _divisor(expansion.N, n)
-    u, v = (expansion.monomial(_over(pw, r), s) for pw in _recurrence_powers(n))
-    terms = [(sign, mono) for sign, mono in ((1, u), (-1, v)) if not mono.is_zero]
-    if not terms:
-        # zero at the precision of the left side q^(s/N) p_n / r
-        return QSeries.zero(expansion.N, expansion.precN + s)
-    return combination(terms)
-
-
 def p_consistency_report(expansion, n):
-    """P_n(b, c) agrees with the p_n series (vanishes when n = 0 mod N).
+    """P_n(b, c) agrees with the p_n series (vanishes when n = 0 mod N),
+    decided by _identity_report with p_n on the left.
 
-    For n <= 4, P_n is one term, so P_n(b, c) is the p-monomial of
-    _monomial_fold, and the check holds when it and p_n fold to one term:
-    one vector with one sign, or both the zero series (p_4 at N = 4).  This
-    is exact, so it also fails on a mismatch that lies beyond the tracked
-    window; a failure is located by evaluating P_n at (b, c) against the p_n
-    series.
-
-    For n >= 5 the p_n series is compared with the division-polynomial
-    recurrence applied to the p_1..p_{n-1} series; since P_n is built by that
-    same recurrence, this is equivalent to P_n(b, c) = p_n once the lower
-    indices are checked.  For n != 0 mod N that comparison is made as the
-    unit equation q^(s/N) p_n / r = q^(s/N) (u - v) / r of
-    _recurrence_series: with r = p_n the left side is q^(s/N), the shifted
-    constant 1, and no p_n series is built.  Dividing by the unit r = q^(s/N) (+-1 + ...) keeps the
-    lowest exponent of every difference, and the shift puts the window back
-    on p_n's exponents, so the window, the verdict and the first failing
-    exponent are those of p_n against u - v.
-
-    For n = 0 mod N, p_n is the zero series and u - v = 0 is decided exactly
-    (_same_unit): u and v either both carry a zero factor or fold to one
-    unit.  A failure is located by comparing the zero series with u - v.
-    This report is not memoised; CurveExpansion.p_report is.
+    For n <= 4, P_n is one term eps B^i C^j and b = -p_2, c = -p_4 / p_2^5,
+    so the right side is the p-monomial eps (-1)^(i+j) p_2^(i-5j) p_4^j.  For
+    n >= 5 it is u - v of the division-polynomial recurrence; since P_n is
+    built by that same recurrence, this is equivalent to P_n(b, c) = p_n once
+    the lower indices are checked.  Unless u or v carries a zero factor or
+    they share a vector, that is a unit equation, compared divided by p_n:
+    the left side is q^(s/N), the shifted constant 1, and no p_n series is
+    built.  This report is not memoised; CurveExpansion.p_report is.
     """
     if n >= 5:
-        r, s = _divisor(expansion.N, n)
-
-        def compared():
-            return expansion.monomial(_over({n: 1}, r), s), _recurrence_series(expansion, n)
-
-        if not r:
-            return _exact_report("p_consistency", expansion, _same_unit(expansion, n),
-                                 compared, n=n)
-        return _agreement_report("p_consistency", expansion, *compared(), n=n)
-    return _exact_report(
-        "p_consistency", expansion,
-        _same_term(_monomial_fold(expansion, n), expansion.fold({n: 1})),
-        lambda: (expansion.eval_poly(expansion.divcache.P(n)), expansion.p(n)), n=n,
-    )
+        u, v = (expansion.fold(pw) for pw in _recurrence_powers(n))
+        rhs = [(1, u), (-1, v)]
+    else:
+        ((i, j), eps), = expansion.divcache.P(n).terms.items()
+        rhs = [(eps * (-1) ** (i + j), expansion.fold({2: i - 5 * j, 4: j}))]
+    return _identity_report("p_consistency", expansion, expansion.fold({n: 1}), rhs, n)
 
 
 def d_consistency_report(expansion):
@@ -378,19 +354,14 @@ def d_consistency_report(expansion):
 
 
 def express2_series_report(expansion):
-    """p_{m+1} = v p_m (N odd) or v p_{m-1} (N even), decided on the exponent
-    vectors: the two p have one sign and vec p_{m+1} = vec p_partner + vec v.
-    Siegel products multiply as their exponent vectors add, so this is the
-    series identity to every precision, and no series is built.  A failure
-    is located by comparing the p_{m+1} series with the partner's sign times
-    the Siegel product of vec p_partner + vec v, which is v p_partner."""
+    """p_{m+1} = v p_m (N odd) or v p_{m-1} (N even), decided by
+    _identity_report: Siegel products multiply as their exponent vectors add,
+    so the right side is the one product of vec p_partner + vec v with the
+    partner's sign, and the identity holds exactly when p_{m+1} has that
+    vector and sign.  No series is built unless it fails."""
     N = expansion.N
     m = N // 2
     partner = m if N % 2 else m - 1
-    _, sign, vec = expansion.fold({m + 1: 1})
-    _, psign, pvec = expansion.fold({partner: 1})
-    rhs = pvec + v_to_h(N)
-    return _exact_report(
-        "express2_series", expansion, sign == psign and vec == rhs,
-        lambda: (expansion.p(m + 1), expansion.product(rhs).to_qseries(psign)), n=m + 1,
-    )
+    _, sign, vec = expansion.fold({partner: 1})
+    return _identity_report("express2_series", expansion, expansion.fold({m + 1: 1}),
+                            [(1, (False, sign, vec + v_to_h(N)))], n=m + 1)

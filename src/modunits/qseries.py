@@ -338,9 +338,10 @@ class QSeries:
 
     @classmethod
     def from_obj(cls, obj):
-        return cls(
-            int(obj["denomN"]),
-            int(obj["ord"]),
-            [Fraction(c) for c in obj["coeffs"]],
-            int(obj["precN"]),
-        )
+        """The series of to_obj's dict; denomN, ord and precN must be ints,
+        so 7.9 or false is refused rather than truncated."""
+        for key in ("denomN", "ord", "precN"):
+            if type(obj[key]) is not int:
+                raise ValueError("%s must be an integer, got %r" % (key, obj[key]))
+        coeffs = [Fraction(c) for c in obj["coeffs"]]
+        return cls(obj["denomN"], obj["ord"], coeffs, obj["precN"])

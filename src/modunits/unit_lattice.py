@@ -90,10 +90,6 @@ class ExpVector:
         return cls(N, (0,) * (k - 1) + (1,) + (0,) * (m - k))
 
     @property
-    def m(self):
-        return self.N // 2
-
-    @property
     def sum1(self):
         return sum(self.e)
 
@@ -120,18 +116,11 @@ class ExpVector:
             raise ValueError("levels differ")
         return ExpVector(self.N, tuple(a - b for a, b in zip(self.e, other.e)))
 
-    def __neg__(self):
-        return ExpVector(self.N, tuple(-a for a in self.e))
-
     def scale(self, c):
         return ExpVector(self.N, tuple(c * a for a in self.e))
 
     def to_obj(self):
         return {"N": self.N, "e": list(self.e)}
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(int(obj["N"]), tuple(int(x) for x in obj["e"]))
 
 
 @dataclass(frozen=True)
@@ -150,15 +139,6 @@ class PExpression:
             "beta": self.beta,
             "pexp": list(self.pexp),
         }
-
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(
-            int(obj["N"]),
-            int(obj["alpha"]),
-            int(obj["beta"]),
-            tuple(int(x) for x in obj["pexp"]),
-        )
 
 
 def _modulus2(N):

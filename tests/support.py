@@ -10,10 +10,12 @@ one-pass recurrence in both directions, p_monomial_by_powers, the reference
 for the p-monomials of CurveExpansion, expand_p_expression_by_vectors, the
 reference for the one-pass fold, eval_poly_by_terms, the reference for
 the Horner evaluation and for the recurrence check of p_n, and
-p_consistency_undivided, the reference for the unit-equation form of that
-check, which builds u and v as undivided Siegel products.
-defining_equation_by_evaluation and express2_by_series, the series forms of
-the two checks that verify now decides from exact identities, and
+p_consistency_undivided, the reference for p_consistency_report, which
+groups the terms of p_n = u - v (or of p_n = P_n(b, c) for n <= 4) by
+exponent vector and compares a unit equation divided by p_n; the oracle
+builds u and v as undivided Siegel products and compares them with p_n on
+the window.  defining_equation_by_evaluation and express2_by_series, the
+series forms of the two checks that the same grouping decides exactly, and
 d_consistency_by_evaluation, the undivided form of the d check, use the
 library's Horner evaluation and series product.
 divpoly_sequential, the reference for the top-down build of P_n, and

@@ -188,6 +188,32 @@ def test_verify_nmax_stdout_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_4_12_NMAX_36_SHA256
 
 
+# (exit code, sha256 of stdout) of `modunits verify --N 4..9 --nmax 12
+# --trials 1 --prec p`, as printed when the p-checks of n <= 4, the checks at
+# n = 0 mod N, express2 and the defining equation each had their own exact
+# rule.  At these windows a check decided exactly and one compared on the
+# window can part ways; below --prec 6 the window at N = 4 is empty
+LOW_PREC_SWEEP = {
+    1: (1, "c4be84847a938f834bbd745d3c5aef4f7cab2640cd0b11905f7e3e5c5ef9ecc1"),
+    2: (1, "992df9230fb96a54e673cd5297e4ee68a46130ab4fad799a2c8a65e0f9221e43"),
+    3: (1, "ecd2061e3b2b75adabf9ec94e9224fcac51d20601efd77e437d59510832f4b47"),
+    4: (1, "199ddb69c80e338b27724a725802dcad058924148223fcd4ee4f11693ceed2b2"),
+    5: (1, "42652edfbc980aa4a48a7ad811b6c306e1746863919581fca9045018017fcc97"),
+    6: (0, "609aeb4f3d6b89a90991d201a107fb3b5d0b4cb612bea1f0d5d3f85869599ae7"),
+    7: (0, "4940f4be734861c4b718edb28c0c7ea0f6c94f36c8360a8eb1912ab6305e758b"),
+    8: (0, "61d0cbdeda96caf603eb967edb7c972251bc9b1a2dbab9a9573c9f61d2b28bd1"),
+    10: (0, "6ef4301b32ca6570c1a4c8f4bba1cb02fa3950536c7e08b036e0ee64f5253f30"),
+    20: (0, "ba27ca960eee6ee1aca056f834fc679511e674b6858ea2c1b2022e4404a69ec1"),
+}
+
+
+@pytest.mark.parametrize("prec", sorted(LOW_PREC_SWEEP))
+def test_verify_low_precision_sweep_pinned(prec):
+    code, text = run_cli("verify", "--N", "4..9", "--nmax", "12", "--trials", "1",
+                         "--prec", str(prec))
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == LOW_PREC_SWEEP[prec]
+
+
 def test_random_vector_in_S_lands_near_the_box():
     import random
 
@@ -248,6 +274,12 @@ def _bad_input(tmp_path, case):
         obj["coeffs"] = 5
     elif case == "infinite denominator":
         obj["denomN"] = float("inf")
+    elif case == "fractional denominator":
+        obj["denomN"] = 5.9
+    elif case == "fractional precision":
+        obj["precN"] = 3.2
+    elif case == "boolean order":
+        obj["ord"] = False
     else:
         obj = list(obj.values())
     path = tmp_path / "series.json"
@@ -263,6 +295,9 @@ def _bad_input(tmp_path, case):
     "zero denominator",
     "coeffs not a list",
     "infinite denominator",
+    "fractional denominator",
+    "fractional precision",
+    "boolean order",
     "series is a list",
     "cache is a file",
 ])

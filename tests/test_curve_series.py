@@ -10,7 +10,9 @@ from modunits.bivar_poly import B, C, BivarPoly
 from modunits.curve_series import (
     CurveExpansion,
     _agreement_report,
-    _recurrence_series,
+    _divided,
+    _grouped,
+    _recurrence_powers,
     d_consistency_report,
     defining_equation_report,
     expand_curve,
@@ -141,6 +143,13 @@ def test_expansion_validation():
 
 def _window(lhs, rhs):
     return min(lhs.precN, rhs.precN) - min(0, lhs.ord, rhs.ord)
+
+
+def _recurrence_series(exp, n):
+    """The right side of the check of p_n, n >= 5, as the check compares it:
+    u - v divided by p_n (by 1 when n = 0 mod N) and shifted by q^(s/N)."""
+    u, v = (exp.fold(pw) for pw in _recurrence_powers(n))
+    return _divided(exp, exp.fold({n: 1}), [(1, u), (-1, v)])[1]
 
 
 def test_eval_poly_horner_matches_term_evaluation():
@@ -460,7 +469,7 @@ def test_monomial_scales_no_series(monkeypatch):
             exp.monomial({n: 1})
         for n in range(5, 2 * N + 3):
             for pairs in recurrence_pairs(n):
-                exp.monomial(_powers(pairs), 3)
+                exp.monomial(_powers(pairs))
     assert not scalings
 
 
@@ -617,3 +626,91 @@ def test_verify_evaluates_no_low_P_and_no_power_above_b2(monkeypatch):
     assert cli.main(["verify", "--N", "4..14", "--seed", "1"], out=io.StringIO()) == 0
     assert evaluated and not [f for f in evaluated if f in low]
     assert max(powers) == 2
+
+
+def test_p_check_with_a_zero_factor_builds_no_series(monkeypatch):
+    # u or v carries the zero factor p_N, so p_n = +-(one monomial): the terms
+    # cancel on their exponent vectors and no Siegel product is built
+    from modunits import curve_series
+
+    built = []
+    real = curve_series.product_series
+
+    def counted(vec, precN):
+        built.append(vec)
+        return real(vec, precN)
+
+    for N, n in ((6, 9), (7, 11), (6, 10)):
+        exp = expand_curve(N, 15 * N)
+        u, v = (exp.fold(pw) for pw in _recurrence_powers(n))
+        assert u[0] != v[0], (N, n)
+        monkeypatch.setattr(curve_series, "product_series", counted)
+        report = p_consistency_report(exp, n)
+        monkeypatch.setattr(curve_series, "product_series", real)
+        assert report["pass"] and not built, (N, n, built)
+        assert report == p_consistency_undivided(exp, n), (N, n)
+
+
+def test_two_term_identity_fails_past_the_window(monkeypatch):
+    # at (N, n) = (6, 9), u carries the zero factor p_6, so the check is the
+    # two-term identity p_9 = -v, v = p_5^3 p_3.  w = (3, 0, 1) has leading
+    # exponent 0, so handing p_3 its vector plus w leaves -v / p_9 = the
+    # product of w, 1 - 3 q^(1/6) + ...  At precN = 1 the window holds only
+    # the leading term: the sides agree there, as a comparison on the window
+    # finds, yet their vectors differ, and the check fails naming no exponent
+    from modunits import curve_series
+    from modunits.siegel import product_lead_exponent
+    from modunits.unit_lattice import ExpVector
+
+    N, n = 6, 9
+    w = ExpVector(N, (3, 0, 1))
+    assert product_lead_exponent(w) == 0
+    real = curve_series.p_to_h
+
+    def corrupt(j, M):
+        folded = real(j, M)
+        return folded if j != 3 else (folded[0], folded[1] + w)
+
+    monkeypatch.setattr(curve_series, "p_to_h", corrupt)
+    short = expand_curve(N, 1)
+    u, v = (short.fold(pw) for pw in _recurrence_powers(n))
+    assert u[0] and not v[0]
+    sides = _divided(short, short.fold({n: 1}), [(1, u), (-1, v)])
+    assert _agreement_report("p_consistency", short, *sides, n=n)["pass"]
+    report = p_consistency_report(short, n)
+    assert not report["pass"] and "firstFailingExponent" not in report
+    # on a wider window the same failure is located, one step above p_9's
+    # leading exponent
+    wide = expand_curve(N, 15 * N)
+    s = wide.p(n).ord
+    assert p_consistency_report(wide, n)["firstFailingExponent"] == str(Fraction(s + 1, N))
+
+
+fold_st = st.tuples(st.booleans(), st.sampled_from((1, -1)),
+                    st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+
+
+def _fold(t):
+    from modunits.unit_lattice import ExpVector
+
+    vanishes, sign, e = t
+    return vanishes, sign, ExpVector(7, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3).filter(bool), fold_st.map(_fold)), max_size=6),
+       st.randoms(use_true_random=False))
+def test_grouping_is_an_exact_sum_over_vectors(terms, rng):
+    # grouping is order-independent, t - t cancels, and terms with distinct
+    # vectors that do not vanish never cancel
+    groups = _grouped(terms)
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    assert _grouped(shuffled) == groups
+    assert not _grouped(terms + [(-coeff, fold) for coeff, fold in terms])
+    live = {}
+    for coeff, fold in terms:
+        if not fold[0]:
+            live.setdefault(fold[2], (coeff, fold))
+    assert len(_grouped(list(live.values()))) == len(live)
+    assert all(coeff for coeff in groups.values())

@@ -47,7 +47,7 @@ def test_is_in_S_closure():
             a = random_vector_in_S(rng, N)
             b = random_vector_in_S(rng, N)
             assert is_in_S(a + b)
-            assert is_in_S(-a)
+            assert is_in_S(a.scale(-1))
             assert (a + b).ledger == (a.ledger[0] + b.ledger[0], a.ledger[1] + b.ledger[1])
 
 
@@ -252,10 +252,10 @@ def test_leading_exponent_check_on_S(N, data):
 
 
 def test_exp_vector_json():
-    vec = ExpVector(7, (5, -8, 3))
-    assert ExpVector.from_obj(vec.to_obj()) == vec
-    p = PExpression(5, 2, 12, (12, 12))
-    assert PExpression.from_obj(p.to_obj()) == p
+    # the CLI and perfbench print to_obj; nothing reads it back
+    assert ExpVector(7, (5, -8, 3)).to_obj() == {"N": 7, "e": [5, -8, 3]}
+    assert PExpression(5, 2, 12, (12, 12)).to_obj() == {
+        "N": 5, "alpha": 2, "beta": 12, "pexp": [12, 12]}
 
 
 def test_exp_vector_validation():
