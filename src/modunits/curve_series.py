@@ -21,11 +21,11 @@ has a nonzero coefficient at q^(x/N).  So when every group cancels the
 identity holds exactly, with no series built; when one or two groups are
 left it fails exactly, also on a mismatch beyond the tracked window.  Only
 three or more groups left make a genuine unit equation, compared as series
-to the tracked precision: every term is divided by the left side's unit r
-(r = 1 when the left side vanishes) and shifted by q^(s/N), s/N the leading
-exponent of r.  Dividing by r = +-q^(s/N) (1 + ...) keeps the lowest
-exponent of every difference and the shift puts the window back on the
-left side's exponents, so the window, the verdict and the first failing
+up to its proof window (below): every term is divided by the left side's
+unit r (r = 1 when the left side vanishes) and shifted by q^(s/N), s/N the
+leading exponent of r.  Dividing by r = +-q^(s/N) (1 + ...) keeps the
+lowest exponent of every difference and the shift puts the window back on
+the left side's exponents, so the window, the verdict and the first failing
 exponent are those of the undivided sides.  The divided vectors are small
 (at N = 14, u/p_9 has (-3, 0, 0, 3, -1, 1, 0) against
 (156, -240, 80, 3, 0, 1, 0) for u), so those series run on few-bit
@@ -40,28 +40,52 @@ P_n(b, c) = p_n, without the powers of b up to deg_B P_n.  F_N(b, c) = 0 is
 derived as in the paper's proof: the p-checks give P_k(b, c) = p_k at every
 index k < N that the recursion for P_N reaches, u and v of the recurrence
 at n = N cancel, so P_N(b, c) = 0, and P_N = +-B^(a_N) prod F_d with every
-other factor a unit at (b, c).  It holds to the precision those p-checks
-compared; a proof of each would make it exact.  At N = 4 it is tautological
-(F_4 = C and c is exactly zero) and passes when the p-check of n = 4 does
-and c's window is not empty.
+other factor a unit at (b, c).  It is exact wherever those p-checks are
+proved, and holds to the precision they compared where they are not.  At
+N = 4 it is tautological (F_4 = C and c is exactly zero) and passes when
+the p-check of n = 4 does and c's window is not empty.
 
 Polynomials are evaluated by Horner in C.  D(b, c) = d is checked divided
 by b^3, as the quartic D / B^3 at (b, c) against the one Siegel product
 d / b^3, so no power of b above b^2 is built.
+
+Every series comparison stops at its proof window.  The orders of a Siegel
+product at the cusps of X1(N) are known in closed form (cusp_orders), so a
+unit equation sum +-f_i = 1, its sides divided by r, has a valence bound P,
+the pole order that sum +-f_i - 1 can have away from infinity
+(_valence_bound): if the equation fails, its shifted sides differ at some
+exponent at or below q^((s + P)/N).  Agreement below the proof top
+s + P + 1 is thus a proof and a failure shows below it, so _divided builds
+each term only up to that top.  The d check is the unit equation
+sum Q_ij b^(i+3) c^j / d = 1, with proof top 3s + ord(d / b^3) + P + 1, and
+evaluates Q at the least precision whose compared window reaches it
+(_d_window).  Where the proof top lies past the expansion's window, a check
+compares that window as before, and a pass there is agreement, not a proof.
+No bound is used for the d check at N = 4 (c is the zero function) or when
+a term's vector is not in S.  Either way the verdict and the first failing
+exponent are those of the whole window.  Each product is memoised once per
+vector, at the longest precision built (CurveExpansion.product), and b and
+c are built on first use.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import gcd
 
 from . import divpoly
 from .qseries import QSeries, ZeroSeries, combination
 from .siegel import PhaseNotRational, product_lead_exponent, product_series
-from .unit_lattice import ExpVector, d_to_h, p_to_h, v_to_h
+from .unit_lattice import ExpVector, d_to_h, is_in_S, p_to_h, v_to_h
 
 __all__ = [
     "PhaseNotRational",
     "CurveExpansion",
+    "cusp_classes",
+    "cusp_orders",
     "expand_curve",
     "defining_equation_report",
     "p_consistency_report",
@@ -72,8 +96,8 @@ __all__ = [
 
 class CurveExpansion:
     """Series data for one level; immutable after construction apart from the
-    caches _products (Siegel products by exponent vector), _bpows (powers of
-    b) and _preports (p-check reports)."""
+    caches _products (Siegel products by exponent vector), b, c, _bpows
+    (powers of b) and _preports (p-check reports)."""
 
     def __init__(self, N, precN):
         if N < 4:
@@ -85,10 +109,28 @@ class CurveExpansion:
         self.divcache = divpoly._default_cache
         self._products = {}
         self._preports = {}
-        self.b = -self.p(2)
+
+    def at(self, precN):
+        """This level at precision precN, sharing this expansion's Siegel
+        products (self when precN is its own)."""
+        if precN == self.precN:
+            return self
+        other = CurveExpansion(self.N, precN)
+        other._products = self._products
+        return other
+
+    @cached_property
+    def b(self):
+        return -self.p(2)
+
+    @cached_property
+    def c(self):
         # c = p_4 / b^5 = -p_4 / p_2^5 (the zero series at N = 4)
-        self.c = -self.monomial({4: 1, 2: -5})
-        self._bpows = [QSeries.one(N, precN), self.b]
+        return -self.monomial({4: 1, 2: -5})
+
+    @cached_property
+    def _bpows(self):
+        return [QSeries.one(self.N, self.precN), self.b]
 
     @property
     def d(self):
@@ -96,13 +138,20 @@ class CurveExpansion:
         check of d reads d / b^3 instead and builds no d."""
         return self.product(d_to_h(self.N)).to_qseries()
 
-    def product(self, vec):
-        """product_series(vec, precN), built once per exponent vector: at small
-        levels distinct units can share one (v = -p_3 at N = 4, c = p_2 at
-        N = 5)."""
-        if vec not in self._products:
-            self._products[vec] = product_series(vec, self.precN)
-        return self._products[vec]
+    def product(self, vec, precN=None):
+        """product_series(vec, precN), precN defaulting to self.precN.  The
+        memo keeps one entry per exponent vector, the longest product built
+        so far, and serves a shorter request by cutting its reduced series;
+        at small levels distinct units can share a vector (v = -p_3 at N = 4,
+        c = p_2 at N = 5)."""
+        if precN is None:
+            precN = self.precN
+        sp = self._products.get(vec)
+        if sp is None or sp.fstar.precN < precN:
+            sp = self._products[vec] = product_series(vec, precN)
+        if sp.fstar.precN > precN:
+            sp = replace(sp, fstar=QSeries(self.N, 0, sp.fstar.coeffs[:precN], precN))
+        return sp
 
     def fold(self, powers):
         """Fold prod p_k^r over the (k, r) items of powers to (vanishes, sign,
@@ -179,6 +228,63 @@ def expand_curve(N, precN=None):
     return CurveExpansion(N, precN)
 
 
+# -- cusp orders and the valence bound ----------------------------------------
+
+
+@lru_cache(maxsize=None)
+def cusp_classes(N):
+    """(count, width) of the cusps of X1(N) in each class alpha = 0..m: the
+    cusps a/c whose top entry a is +-alpha mod N.  With g = gcd(alpha, N) a
+    class holds phi(g) cusps, halved (at least 1) when 2 alpha = 0 mod N,
+    each of width N/g; alpha = 1 is the cusp at infinity alone."""
+    out = []
+    for alpha in range(N // 2 + 1):
+        g = gcd(alpha, N)
+        count = sum(1 for x in range(g) if gcd(x, g) == 1)
+        if 2 * alpha % N == 0:
+            count = max(1, count // 2)
+        out.append((count, N // g))
+    return tuple(out)
+
+
+def cusp_orders(e):
+    """The order of the Siegel product of e at each cusp of class
+    alpha = 0..m, in the cusp's local parameter: w sum_k e_k B_2(<k alpha/N>)/2
+    with w the class's width and B_2(x) = x^2 - x + 1/6 (Kubert-Lang), each
+    an integer sum over 12 N^2.  At alpha = 1 this is N times the leading
+    exponent; for e in S every order is an integer and the orders times the
+    class counts sum to 0."""
+    N = e.N
+    b2 = [6 * r * (r - N) + N * N for r in range(N)]
+    terms = [(k, ek) for k, ek in enumerate(e.e, start=1) if ek]
+    return [Fraction(width * sum(ek * b2[k * alpha % N] for k, ek in terms), 12 * N * N)
+            for alpha, (_, width) in enumerate(cusp_classes(N))]
+
+
+def _valence_bound(N, vecs):
+    """P = sum over the cusps c other than infinity of
+    max(0, -min ord_c(f)), over the units f of the exponent vectors vecs and
+    the constant 1, or None when some vector is not in S.
+
+    When sum +-f = 1 fails, the function sum +-f - 1 on X1(N) is nonzero and
+    has its poles among the cusps, at most P of them away from infinity
+    counted with order, so by the valence formula its order at infinity, in
+    q^(1/N), is at most P: two sides of such an identity that agree up to
+    q^(P/N) agree exactly.  At N = 4 the width 2 of the class alpha = 2
+    doubles the order at its irregular cusp, which only raises P."""
+    if not all(map(is_in_S, vecs)):
+        return None
+    orders = [cusp_orders(vec) for vec in vecs]
+    return int(sum(count * max([0] + [-o[alpha] for o in orders])
+                   for alpha, (count, _) in enumerate(cusp_classes(N)) if alpha != 1))
+
+
+def _lead(vec):
+    """N times the leading exponent of vec's Siegel product, an integer for a
+    product on the q^(1/N) grid."""
+    return int(vec.N * product_lead_exponent(vec))
+
+
 def _report(check, expansion, holds, n=None, bad=None):
     report = {"check": check, "N": expansion.N, "precN": expansion.precN, "pass": holds}
     if n is not None:
@@ -209,26 +315,38 @@ def _grouped(terms):
     return {vec: coeff for vec, coeff in groups.items() if coeff}
 
 
-def _divided(expansion, lhs, rhs):
+def _divisor(N, lhs):
+    """(sign, vec, s) of the unit r that _divided divides by: the lhs fold's
+    unit, or 1 when lhs vanishes; s/N is the leading exponent of r."""
+    vanishes, sign, vec = lhs
+    if vanishes:
+        return 1, ExpVector.zero(N), 0
+    # r lies on the q^(1/N) grid, so s is an integer
+    return sign, vec, _lead(vec)
+
+
+def _divided(expansion, lhs, rhs, top=None):
     """The sides of lhs = sum coeff * term over the (coeff, fold) pairs of
     rhs as series, each divided by the unit r of lhs (r = 1 when lhs
     vanishes) and shifted by q^(s/N), s/N the leading exponent of r: lhs
     becomes q^(s/N) (the zero series when it vanishes) and each term one
-    Siegel product; a term with a zero factor is dropped."""
-    N = expansion.N
-    vanishes, rsign, rvec = lhs
-    if vanishes:
-        rsign, rvec, s = 1, ExpVector.zero(N), 0
-    else:
-        # r lies on the q^(1/N) grid, so s is an integer
-        s = int(N * product_lead_exponent(rvec))
+    Siegel product; a term with a zero factor is dropped.  Each series is
+    built up to q^(top/N), at least its leading term and at most the
+    expansion's precision: precN in the reduced series, so with no top every
+    series ends where the expansion's precision puts it."""
+    N, precN = expansion.N, expansion.precN
+    rsign, rvec, s = _divisor(N, lhs)
+
+    def window(vec):
+        return precN if top is None else max(1, min(precN, top - s - _lead(vec)))
 
     def series(fold):
         _, sign, vec = fold
-        return expansion.product(vec - rvec).to_qseries(sign * rsign, s)
+        vec = vec - rvec
+        return expansion.product(vec, window(vec)).to_qseries(sign * rsign, s)
 
-    zero = QSeries.zero(N, expansion.precN + s)
-    left = zero if vanishes else series(lhs)
+    zero = QSeries.zero(N, s + window(ExpVector.zero(N)))
+    left = zero if lhs[0] else series(lhs)
     terms = [(coeff, series(fold)) for coeff, fold in rhs if not fold[0]]
     return left, combination(terms) if terms else zero
 
@@ -239,12 +357,19 @@ def _identity_report(check, expansion, lhs, rhs, n=None):
     rhs - lhs all cancel and fails when one or two are left, as products with
     distinct vectors are independent; either way the verdict is exact and a
     passing check builds no series.  With three or more groups left it is a
-    unit equation, decided by comparing the divided sides (_divided) on the
-    tracked window; that comparison also locates an exact failure."""
+    unit equation, decided by comparing the divided sides (_divided); that
+    comparison also locates an exact failure.  Either comparison runs up to
+    the proof top s + P + 1, P the valence bound of the divided terms, where
+    agreement is a proof and a failure has shown, or over the expansion's
+    whole window when that is shorter or some term is not a unit of X1(N)."""
     left = _grouped([(-1, lhs)] + rhs)
     if not left:
         return _report(check, expansion, True, n)
-    lseries, rseries = _divided(expansion, lhs, rhs)
+    _, rvec, s = _divisor(expansion.N, lhs)
+    divided = [fold[2] - rvec for _, fold in rhs if not fold[0]]
+    bound = _valence_bound(expansion.N, divided)
+    top = None if bound is None else s + bound + 1
+    lseries, rseries = _divided(expansion, lhs, rhs, top)
     if len(left) > 2:
         return _agreement_report(check, expansion, lseries, rseries, n)
     return _report(check, expansion, False, n, lseries.first_difference(rseries))
@@ -258,18 +383,21 @@ def defining_equation_report(expansion):
     P_k(b, c) = p_k there, and when at n = N the recurrence's u and v cancel
     (_grouped), so that P_N(b, c) = u - v = 0.  Since P_N = +-B^(a_N) prod F_d
     over the divisors d >= 4 of N, b = -p_2 is a unit and each F_d with d < N
-    divides P_d, whose value p_d is a unit, F_N(b, c) = 0 follows.  It holds
-    to the precision those p-checks compared.
+    divides P_d, whose value p_d is a unit, F_N(b, c) = 0 follows.  It is
+    exact where those p-checks are proved and holds to the precision they
+    compared elsewhere.
 
     At N = 4, P_4 = C B^5 is a base case and F_4(b, c) = c, exactly zero (p_4
-    is a zero factor of c) and known below q^(c.precN/4).  The check rests on
-    the p-check of n = 4 and, like any series check, fails when that window
-    holds no exponent.  A failing report names no exponent: the failing
-    p-check does.
+    is a zero factor of c) and known below q^(c.precN/4); c.precN is precN
+    plus the leading exponent numerator of the other factor -p_2^-5, read
+    off its vector with no series built.  The check rests on the p-check of
+    n = 4 and, like any series check, fails when that window holds no
+    exponent.  A failing report names no exponent: the failing p-check does.
     """
     N = expansion.N
     if N == 4:
-        holds = expansion.c.precN > 0 and expansion.p_report(4)["pass"]
+        _, _, rest = expansion.fold({4: 1, 2: -5})
+        holds = expansion.precN + _lead(rest) > 0 and expansion.p_report(4)["pass"]
     else:
         u, v = (expansion.fold(pw) for pw in _recurrence_powers(N))
         holds = not _grouped([(1, u), (-1, v)]) and all(
@@ -343,14 +471,45 @@ def d_consistency_report(expansion):
     difference and the shift by q^(3s/N) puts the window back on d's
     exponents, so the verdict and the first failing exponent are those of
     D(b, c) against d, with no power of b above b^2 and no d series built.
+
+    Divided by r = d / b^3 the check is the unit equation
+    sum Q_ij b^(i+3) c^j / d = 1, so it compares up to its proof top
+    3s + ord(r) + P + 1, P the valence bound of those terms (_d_window).
     """
     N = expansion.N
-    s = expansion.b.ord
-    q = expansion.eval_poly(divpoly.D_COFACTOR)
+    _, sign, bvec = expansion.fold({2: 1})
+    rvec = d_to_h(N) - bvec.scale(3)
+    short = expansion.at(_d_window(expansion, bvec, rvec))
+    s = short.b.ord
+    q = short.eval_poly(divpoly.D_COFACTOR)
     lhs = QSeries(N, q.ord + 3 * s, q.coeffs, q.precN + 3 * s)
-    _, sign, vec = expansion.fold({2: 1})
-    rhs = expansion.product(d_to_h(N) - vec.scale(3)).to_qseries(-sign, 3 * s)
+    rhs = short.product(rvec).to_qseries(-sign, 3 * s)
     return _agreement_report("d_consistency", expansion, lhs, rhs)
+
+
+def _d_window(expansion, bvec, rvec):
+    """The least reduced-series precision W at which the d check compares up
+    to its proof top, or the expansion's precN when that is lower or no bound
+    holds: at N = 4, where c is the zero function, or when a term is not a
+    unit of X1(N).
+
+    With b, c and r = d / b^3 starting at q^(s_b/N), q^(s_c/N) and
+    q^(o/N), Horner keeps Q(b, c) to q^((W + kappa)/N),
+    kappa = min s_b i + s_c j over the terms of Q, and r runs to
+    q^((o + W)/N).  So the compared window, shifted by q^(3 s_b/N), ends at
+    3 s_b + W + min(kappa, o), which reaches the proof top 3 s_b + o + P + 1
+    from W = P + 1 + max(0, o - kappa) on."""
+    N, precN = expansion.N, expansion.precN
+    cvanishes, _, cvec = expansion.fold({4: 1, 2: -5})
+    if cvanishes:
+        return precN
+    terms = divpoly.D_COFACTOR.terms
+    bound = _valence_bound(N, [bvec.scale(i) + cvec.scale(j) - rvec for i, j in terms])
+    if bound is None:
+        return precN
+    sb, sc = _lead(bvec), _lead(cvec)
+    kappa = min(i * sb + j * sc for i, j in terms)
+    return max(1, min(precN, bound + 1 + max(0, _lead(rvec) - kappa)))
 
 
 def express2_series_report(expansion):

@@ -47,6 +47,19 @@ def _norm_coeff(c):
     return f.numerator if f.denominator == 1 else f
 
 
+def _read_coeff(c):
+    """A coefficient of to_obj's list: an int, or a string that to_obj would
+    write for its value."""
+    if type(c) is int:
+        return c
+    if type(c) is str:
+        f = Fraction(c)
+        if str(f) == c:
+            return f
+    raise ValueError("coefficient %r is neither an integer nor a fraction p/q "
+                     "as to_obj writes it" % (c,))
+
+
 # QSeries.__mul__ multiplies two int windows of n coefficients by one
 # big-integer product when n >= _KRONECKER_MIN_WINDOW, whatever the slot
 # width.  Measured against the coefficient sums on random windows (py3.11.7,
@@ -339,9 +352,12 @@ class QSeries:
     @classmethod
     def from_obj(cls, obj):
         """The series of to_obj's dict; denomN, ord and precN must be ints,
-        so 7.9 or false is refused rather than truncated."""
+        so 7.9 or false is refused rather than truncated, and coeffs a list
+        whose entries are ints or the strings to_obj writes ("3", "-3/4"),
+        so true, 2.0 or "0.5" is refused rather than converted."""
         for key in ("denomN", "ord", "precN"):
             if type(obj[key]) is not int:
                 raise ValueError("%s must be an integer, got %r" % (key, obj[key]))
-        coeffs = [Fraction(c) for c in obj["coeffs"]]
-        return cls(obj["denomN"], obj["ord"], coeffs, obj["precN"])
+        if type(obj["coeffs"]) is not list:
+            raise ValueError("coeffs must be a list, got %r" % (obj["coeffs"],))
+        return cls(obj["denomN"], obj["ord"], map(_read_coeff, obj["coeffs"]), obj["precN"])

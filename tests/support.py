@@ -23,6 +23,10 @@ factor_P_over_F_by_trial_division, the reference for the factorisation of
 P_n read off the divisor walk, use the library's products and exact
 division.
 
+cusps_by_orbits and index_of_gamma1, the references for the closed-form
+cusp classes of curve_series, enumerate the cusps of +-Gamma^1(N) as orbits
+of columns mod N and count SL_2(Z/N) by its columns.
+
 A few helpers the library no longer carries, since no command uses them,
 live here: lead_exponent, the leading exponent of one Siegel function, which
 product_series_by_powers sums; compose, substitution into a polynomial of
@@ -572,3 +576,38 @@ def brute_force_membership(target, basis, box=80):
             if rest0 == y * b2[0] and rest1 == y * b2[1]:
                 return x, y
     return None
+
+
+def cusps_by_orbits(N):
+    """{alpha: [width of each cusp]} of +-Gamma^1(N), the matrices congruent
+    to [[1, 0], [*, 1]] mod N, by brute force: the cusps of Gamma(N) are the
+    columns (a, c) mod N with gcd(a, c, N) = 1, and the orbits of
+    (a, c) -> (a, c + a) and (a, c) -> (-a, -c) on them are the cusps of
+    +-Gamma^1(N), filed under alpha = min(a, N - a).  A cusp's width is the
+    least h > 0 for which gamma T^h gamma^-1 = I + h [[-ac, a^2], [-c^2, ac]]
+    is congruent to [[1, 0], [*, 1]] mod N (at N = 4 the cusp 1/2 is
+    irregular: with -I its width would be 1)."""
+    cols = [(a, c) for a in range(N) for c in range(N) if gcd(gcd(a, c), N) == 1]
+    parent = {col: col for col in cols}
+
+    def find(col):
+        while parent[col] != col:
+            col = parent[col]
+        return col
+
+    for a, c in cols:
+        for other in ((a, (c + a) % N), (-a % N, -c % N)):
+            parent[find(other)] = find((a, c))
+    roots = {find(col) for col in cols}
+    out = {}
+    for a, c in roots:
+        width = next(h for h in range(1, N + 1) if h * a * c % N == 0 and h * a * a % N == 0)
+        out.setdefault(min(a, N - a), []).append(width)
+    return out
+
+
+def index_of_gamma1(N):
+    """[SL_2(Z) : +-Gamma^1(N)] for N >= 3: SL_2(Z/N) has N matrices over
+    each column (a, c) with gcd(a, c, N) = 1, the image of Gamma^1(N) has N
+    elements and -I is not among them."""
+    return sum(1 for a in range(N) for c in range(N) if gcd(gcd(a, c), N) == 1) // 2

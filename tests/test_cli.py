@@ -188,6 +188,18 @@ def test_verify_nmax_stdout_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_4_12_NMAX_36_SHA256
 
 
+# sha256 of the stdout of `modunits verify --N 120 --trials 2`, as printed
+# when every check compared its series to 15N = 1,800 (13 s then; each
+# compared window now ends at its proof top, far below that)
+VERIFY_120_SHA256 = "f7f3ce1f50639eeb1b3e012f759498f737355abe5c501992833921c9f9af3b2d"
+
+
+def test_verify_level_120_stdout_pinned():
+    code, text = run_cli("verify", "--N", "120", "--trials", "2")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_120_SHA256
+
+
 # (exit code, sha256 of stdout) of `modunits verify --N 4..9 --nmax 12
 # --trials 1 --prec p`, as printed when the p-checks of n <= 4, the checks at
 # n = 0 mod N, express2 and the defining equation each had their own exact
@@ -280,6 +292,16 @@ def _bad_input(tmp_path, case):
         obj["precN"] = 3.2
     elif case == "boolean order":
         obj["ord"] = False
+    elif case == "boolean and float coefficients":
+        obj["coeffs"] = [True, 2.0, 0]
+    elif case == "binary fraction coefficient":
+        obj["coeffs"][1] = 0.1
+    elif case == "decimal string coefficient":
+        obj["coeffs"][1] = "0.5"
+    elif case == "unreduced fraction coefficient":
+        obj["coeffs"][1] = "2/4"
+    elif case == "coeffs a string":
+        obj["coeffs"] = "120"
     else:
         obj = list(obj.values())
     path = tmp_path / "series.json"
@@ -298,6 +320,11 @@ def _bad_input(tmp_path, case):
     "fractional denominator",
     "fractional precision",
     "boolean order",
+    "boolean and float coefficients",
+    "binary fraction coefficient",
+    "decimal string coefficient",
+    "unreduced fraction coefficient",
+    "coeffs a string",
     "series is a list",
     "cache is a file",
 ])

@@ -224,19 +224,26 @@ def test_p_consistency_fails_on_perturbed_series(monkeypatch):
     # product: one coefficient of it inside the compared window, above its
     # leading term, fails the check at that exponent in p_n's frame, where u
     # starts.  In each case v is nonzero too: were it the zero series, u would
-    # be p_n and u / p_n the constant 1 that the left side reads as well
+    # be p_n and u / p_n the constant 1 that the left side reads as well.  The
+    # window ends at the proof top, which at (7, 5), (9, 6) and (6, 7) leaves
+    # u / p_n two coefficients, so the one corrupted is the second
     from dataclasses import replace
+
+    from modunits.curve_series import _valence_bound
 
     for N, n in ((7, 5), (9, 6), (10, 8), (11, 7), (6, 7), (8, 9)):
         exp = expand_curve(N, 6 * N)
         assert p_consistency_report(exp, n)["pass"]
         powers = _powers(recurrence_pairs(n)[0])
-        e = exp.monomial(powers).ord + 2
+        e = exp.monomial(powers).ord + 1
+        r = _vector(N, {n: 1})
+        terms = [_vector(N, _powers(pairs)) - r for pairs in recurrence_pairs(n)]
+        assert e < exp.p(n).ord + _valence_bound(N, terms) + 1, (N, n)
         powers[n] = -1
         vec = _vector(N, powers)
         good = exp._products[vec]
         coeffs = list(good.fstar.coeffs)
-        coeffs[2] += 1
+        coeffs[1] += 1
         exp._products[vec] = replace(good, fstar=QSeries(N, 0, coeffs, good.fstar.precN))
         report = p_consistency_report(exp, n)
         assert not report["pass"], (N, n)
@@ -714,3 +721,187 @@ def test_grouping_is_an_exact_sum_over_vectors(terms, rng):
             live.setdefault(fold[2], (coeff, fold))
     assert len(_grouped(list(live.values()))) == len(live)
     assert all(coeff for coeff in groups.values())
+
+
+# -- cusp orders, the valence bound and the proof windows ---------------------
+
+
+@pytest.mark.parametrize("N", range(4, 31))
+def test_cusp_classes_match_orbit_enumeration(N):
+    # the closed-form count and width of each class alpha against the orbits
+    # of +-Gamma^1(N) on the cusps of Gamma(N); from N = 5 on, with no
+    # irregular cusp, the widths sum to the index
+    from modunits.curve_series import cusp_classes
+    from support import cusps_by_orbits, index_of_gamma1
+
+    orbits = cusps_by_orbits(N)
+    classes = cusp_classes(N)
+    assert sorted(orbits) == list(range(len(classes)))
+    for alpha, (count, width) in enumerate(classes):
+        assert orbits[alpha] == [width] * count, (N, alpha)
+    if N >= 5:
+        assert sum(count * width for count, width in classes) == index_of_gamma1(N)
+
+
+@pytest.mark.parametrize("N", range(5, 42))
+def test_cusp_orders_on_basis_S(N):
+    # every unit of X1(N) has a divisor of degree 0 supported on the cusps,
+    # with integral orders, and its order at infinity is N times its leading
+    # exponent
+    from modunits.curve_series import cusp_classes, cusp_orders
+    from modunits.siegel import product_lead_exponent
+    from modunits.unit_lattice import basis_S
+
+    counts = [count for count, _ in cusp_classes(N)]
+    for vec in basis_S(N):
+        orders = cusp_orders(vec)
+        assert all(o.denominator == 1 for o in orders), (N, vec)
+        assert sum(count * o for count, o in zip(counts, orders)) == 0, (N, vec)
+        assert orders[1] == N * product_lead_exponent(vec), (N, vec)
+
+
+def _unit_equation_difference(f1, f2, top):
+    """The lowest exponent numerator below top at which the sides of
+    f1 - f2 = 1 differ, or None, f1 and f2 the Siegel products of two
+    vectors, each built up to q^(top/N) and at least to its leading term."""
+    from modunits.curve_series import _lead
+    from modunits.qseries import combination
+    from modunits.siegel import product_series
+
+    f1s, f2s = (product_series(f, max(1, top - _lead(f))).to_qseries() for f in (f1, f2))
+    g = combination([(1, f1s), (-1, f2s), (-1, QSeries.one(f1.N, max(1, top)))])
+    return g.ord if g.coeffs and g.ord < top else None
+
+
+def test_valence_bound_holds_on_random_false_unit_equations():
+    # for 240 random pairs f1, f2 of S the unit equation f1 - f2 = 1 is false,
+    # and its sides first differ at or below the valence bound P in q^(1/N).
+    # P < 60N, so that is the first difference on a 60N window as well; the
+    # sides are built only up to q^((P+1)/N), where it must show
+    import random
+
+    from modunits import cli
+    from modunits.curve_series import _valence_bound
+    from modunits.unit_lattice import basis_S
+
+    rng = random.Random(23)
+    cases = 0
+    for N in range(5, 17):
+        basis = basis_S(N)
+        for _ in range(20):
+            f1, f2 = (cli._random_vector_in_S(rng, basis) for _ in range(2))
+            bound = _valence_bound(N, [f1, f2])
+            assert bound < 60 * N, (N, f1, f2)
+            assert _unit_equation_difference(f1, f2, bound + 1) is not None, (N, f1, f2, bound)
+            cases += 1
+    assert cases >= 240
+
+
+def test_valence_bound_is_tight():
+    # 1 - f2 = 1 fails first at the order of f2 at infinity, which reaches the
+    # bound: at N = 5, f2 = (-2, -22) has its 4 zeros at infinity and poles of
+    # order 2 at each of the two cusps of class 0; at N = 6, f2 = (3, 0, -3)
+    # has one zero at infinity and one pole, in class 2
+    from modunits.curve_series import _valence_bound, cusp_orders
+    from modunits.unit_lattice import ExpVector
+
+    for N, e, bound, orders in ((5, (-2, -22), 4, [-2, 4, 0]), (6, (3, 0, -3), 1, [0, 1, -1, 0])):
+        one, f2 = ExpVector.zero(N), ExpVector(N, e)
+        assert cusp_orders(f2) == orders, N
+        assert _valence_bound(N, [one, f2]) == bound, N
+        assert _unit_equation_difference(one, f2, 60 * N) == bound, N
+        assert _unit_equation_difference(one, f2, bound) is None, N
+
+
+def _p_check_need(N, n):
+    """The least precN at which the p-check of n >= 5, n != 0 mod N, compares
+    up to its proof top s + P + 1: every divided series, the left side's
+    constant included, runs P + 1 past its leading exponent numerator, here
+    lead - s."""
+    from modunits.curve_series import _lead, _valence_bound
+
+    exp = expand_curve(N, 1)
+    r = exp.fold({n: 1})[2]
+    terms = [exp.fold(pw)[2] - r for pw in _recurrence_powers(n)]
+    return _valence_bound(N, terms) + 1 - min([0] + [_lead(t) for t in terms])
+
+
+def _d_check_need(N):
+    """The least precN at which the d check compares up to its proof top."""
+    from modunits.curve_series import _d_window
+    from modunits.unit_lattice import d_to_h
+
+    exp = expand_curve(N, 10 ** 9)
+    bvec = exp.fold({2: 1})[2]
+    return _d_window(exp, bvec, d_to_h(N) - bvec.scale(3))
+
+
+def test_proof_windows_pinned():
+    # the least precisions that make each check a proof grow like N^2/48 for
+    # the p-checks and N^2/11 for the d check; at N = 121 the d check's, 1,816,
+    # passes the default 15N = 1,815 for the first time
+    assert max(_p_check_need(40, n) for n in range(5, 40 // 2 + 3)) == 35
+    assert [_d_check_need(N) for N in (60, 120, 121, 200)] == [289, 1153, 1816, 3601]
+    assert all(_d_check_need(N) <= 15 * N for N in range(5, 121))
+
+
+def test_verify_builds_no_product_past_its_proof_window(monkeypatch):
+    # in verify, every Siegel product is built by a p-check or the d check,
+    # and no further than its check's proof top: a divided term of a p-check
+    # to fstar precision max(1, P + 1 - lead) and the d check's products at
+    # one precision, the least at which its compared window ends at the proof
+    # top.  Both windows end exactly there.  (At N = 4 c is the zero
+    # function, so the d check has no bound and compares the whole window.)
+    from modunits import cli, curve_series
+    from modunits.curve_series import _lead, _valence_bound
+    from modunits.unit_lattice import d_to_h
+
+    check, built, windows = [None], [], {}
+    real_product, real_agreement = curve_series.product_series, curve_series._agreement_report
+
+    def product_spy(vec, precN):
+        built.append((check[0], vec, precN))
+        return real_product(vec, precN)
+
+    def agreement_spy(name, expansion, lhs, rhs, n=None):
+        windows[check[0]] = min(lhs.precN, rhs.precN)
+        return real_agreement(name, expansion, lhs, rhs, n)
+
+    def tagged(name):
+        real = getattr(curve_series, name)
+
+        def report(expansion, *args):
+            check[0] = (expansion.N, name) + args
+            try:
+                return real(expansion, *args)
+            finally:
+                check[0] = None
+        return report
+
+    monkeypatch.setattr(curve_series, "product_series", product_spy)
+    monkeypatch.setattr(curve_series, "_agreement_report", agreement_spy)
+    for name in ("p_consistency_report", "d_consistency_report", "express2_series_report"):
+        monkeypatch.setattr(curve_series, name, tagged(name))
+    assert cli.main(["verify", "--N", "4..14", "--seed", "1"], out=io.StringIO()) == 0
+
+    assert built and all(key is not None for key, _, _ in built)
+    for key in {key for key, _, _ in built}:
+        N, name = key[:2]
+        exp = expand_curve(N, 1)
+        if name == "p_consistency_report":
+            n = key[2]
+            r = exp.fold({n: 1})[2]
+            terms = [exp.fold(pw)[2] - r for pw in _recurrence_powers(n)]
+            bound = _valence_bound(N, terms)
+            for k, vec, precN in built:
+                if k == key:
+                    assert vec in terms + [r - r], (key, vec)
+                    assert precN <= max(1, bound + 1 - _lead(vec)), (key, vec, precN)
+            assert windows[key] == _lead(r) + bound + 1, key
+        elif N > 4:
+            assert name == "d_consistency_report", key
+            b, c = exp.fold({2: 1})[2], exp.fold({4: 1, 2: -5})[2]
+            r = d_to_h(N) - b.scale(3)
+            bound = _valence_bound(N, [b.scale(i) + c.scale(j) - r for i, j in D_COFACTOR.terms])
+            assert len({precN for k, _, precN in built if k == key}) == 1, key
+            assert windows[key] == 3 * _lead(b) + _lead(r) + bound + 1, key
