@@ -10,11 +10,14 @@ Products have two paths behind the one operator.  Small ones, and sparse ones
 spread over a wide degree range, add up the product of every pair of terms in
 a dict.  Large dense ones go through Kronecker substitution (Harvey,
 arXiv:0712.4046): both factors are packed into integers, one slot per
-monomial, sheared so that the slot counts total degree and then the degree in
-C; one big-integer product does the work and the slots are read back.  The
-cutoff between the two is a measured constant (_KRONECKER_MIN_PAIRS).  The
-slot packing and reading, pack_slots and unpack_slots, also serve the
-Kronecker path of the series product in qseries.
+monomial, in the frame (i + j, j + a*(i + j)) of total degree and a sheared
+degree, with the shear a in {0, -1, -2} whose product box has the fewest
+slots; one big-integer product does the work and the slots are read back.
+A division polynomial P_n lies in a thin band along its Newton polygon, and
+a = -2 boxes it in 54-67% of the slots of the unsheared frame for
+13 <= n <= 60.  The cutoff between the two paths is a measured constant
+(_KRONECKER_MIN_PAIRS).  The slot packing and reading, pack_slots and
+unpack_slots, also serve the Kronecker path of the series product in qseries.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import heapq
 import re
 from math import gcd as _int_gcd
+from operator import add, sub
 
 __all__ = [
     "BivarPoly",
@@ -188,8 +192,10 @@ class BivarPoly:
         if not isinstance(other, BivarPoly):
             return NotImplemented
         pairs = len(self.terms) * len(other.terms)
-        if pairs >= _KRONECKER_MIN_PAIRS and 2 * _kronecker_slots(self, other)[2] <= pairs:
-            return _mul_kronecker(self, other)
+        if pairs >= _KRONECKER_MIN_PAIRS:
+            frame = _kronecker_frame(self, other)
+            if 2 * frame[-1] <= pairs:
+                return _mul_kronecker(self, other, frame)
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -295,63 +301,95 @@ def div_exact(f, g):
 
 # BivarPoly.__mul__ takes the Kronecker path for products of at least this many
 # term pairs whose packed form has at most one slot per two pairs.  Measured
-# against the dict loop (py3.11, 2 cores), the Kronecker path runs at 0.2x its
-# speed at 4 x 3 terms, breaks even near 500 pairs on division-polynomial
-# operands and near one slot per two pairs on random sparse ones, and runs at
-# 2x at 40 x 34 terms (P_17 * P_16) and 7x at 904 x 717 (P_35 * P_33).
+# against the dict loop (py3.11, 2 cores, frame choice included), the Kronecker
+# path runs at 0.2x its speed at 4 x 3 terms, breaks even near 500 pairs on
+# division-polynomial operands (0.8x at 378, 1.0-1.1x at 476-560) and near 0.4
+# slots per pair on random sparse ones of 40 x 40 terms (0.8x at 0.5), and runs
+# at 2.2x at 40 x 34 terms (P_16 * P_15) and 12x at 904 x 717 (P_35 * P_33).
 _KRONECKER_MIN_PAIRS = 500
 
 
-def _total_degree_range(f):
-    sums = [i + j for i, j in f.terms]
-    return min(sums), max(sums)
+# The packing frames tried, (i + j, j + a*(i + j)) for the shears a = 0, -1,
+# -2: the one whose product box has the fewest slots is used, the first on a tie.
+_SHEARS = (0, -1, -2)
 
 
-def _kronecker_slots(f, g):
-    """(lowest total degree of f, of g, slots of the packed product f * g)."""
-    flo, fhi = _total_degree_range(f)
-    glo, ghi = _total_degree_range(g)
-    return flo, glo, (fhi - flo + ghi - glo + 1) * (f.deg_C + g.deg_C + 1)
+def _frame_boxes(f):
+    """[(lowest, highest) of s = i + j and of v = j + a*s over the terms of f,
+    for each shear a of _SHEARS]: v starts as j, and each next shear takes s
+    off it once more."""
+    i_s, v = zip(*f.terms)
+    s = list(map(add, i_s, v))
+    lo, hi = min(s), max(s)
+    boxes = []
+    for _ in _SHEARS:
+        boxes.append((lo, hi, min(v), max(v)))
+        v = list(map(sub, v, s))
+    return boxes
 
 
-def _mul_kronecker(f, g):
-    """f * g by one big-integer product (Kronecker substitution).
+def _kronecker_frame(f, g):
+    """(a, low corner (s, v) of f, of g, row width W, slots of the packed
+    product f * g) for the frame of _SHEARS with the fewest slots."""
+    best = None
+    fboxes = _frame_boxes(f)
+    gboxes = fboxes if g is f else _frame_boxes(g)
+    for a, (fs, fS, fv, fV), (gs, gS, gv, gV) in zip(_SHEARS, fboxes, gboxes):
+        width = fV - fv + gV - gv + 1
+        slots = (fS - fs + gS - gs + 1) * width
+        if best is None or slots < best[-1]:
+            best = (a, (fs, fv), (gs, gv), width, slots)
+    return best
 
-    The term c*B^i*C^j goes to the slot (i + j - s)*W + j of an integer in
-    base 2^(8k), with s the lowest total degree of its factor and
-    W = deg_C f + deg_C g + 1.  Slot indices add like the pair (total degree,
-    degC), and every degC of the product is below W, so distinct monomials of
-    the product land in distinct slots.  Sheared by the total degree, the
-    packed integers are as long as the polynomials' total-degree span times W,
-    which for P_n is far shorter than its B-degree times W.  A slot holds
-    k bytes, enough for max|f| * max|g| * min(#f, #g) plus a sign bit, which
-    bounds every coefficient of the product.
+
+def _coefficient_bound(f, g):
+    """A bound on every |coefficient| of f * g: each is a sum of products c*d
+    of coefficients of f and g, no term of f or of g used twice, so it is at
+    most ||f||_1 * max|g| and at most max|f| * ||g||_1."""
+    fc = [abs(c) for c in f.terms.values()]
+    gc = fc if g is f else [abs(c) for c in g.terms.values()]
+    return min(sum(fc) * max(gc), max(fc) * sum(gc))
+
+
+def _mul_kronecker(f, g, frame=None):
+    """f * g by one big-integer product (Kronecker substitution), packed in
+    frame, _kronecker_frame(f, g) when not given.
+
+    In the frame (s, v) = (i + j, j + a*(i + j)) the term c*B^i*C^j goes to
+    the slot (s - s0)*W + (v - v0) of an integer in base 2^(8k), with (s0, v0)
+    the lowest s and v of its factor and W the span of v over the product
+    plus one.  Slot indices add like the pair (s, v), and every v of the
+    product lies within W of the sum of the factors' v0, so distinct
+    monomials of the product land in distinct slots; a slot reads back as
+    j = v - a*s, i = s - j.  The shear a is the one of _SHEARS whose product
+    box has the fewest slots.  For division polynomials that is a = -2,
+    v = -(2i + j): the box of P_45 has 3,723 slots against 6,477 in the frame
+    (i + j, j), and P_24 * P_22^3 packs in 3,672 slots against 6,426, while
+    polynomials along an axis keep a = 0.  A slot holds k bytes, enough for
+    _coefficient_bound plus a sign bit.
     """
     if not f.terms or not g.terms:
         return ZERO
-    fs, gs, slots = _kronecker_slots(f, g)
-    width = f.deg_C + g.deg_C + 1
-    bound = (
-        max(map(abs, f.terms.values()))
-        * max(map(abs, g.terms.values()))
-        * min(len(f.terms), len(g.terms))
-    )
-    k = bound.bit_length() // 8 + 1
-    fpacked = _kronecker_pack(f, fs, width, k)
-    gpacked = fpacked if g is f else _kronecker_pack(g, gs, width, k)
+    a, (fs, fv), (gs, gv), width, slots = frame or _kronecker_frame(f, g)
+    k = _coefficient_bound(f, g).bit_length() // 8 + 1
+    fpacked = _kronecker_pack(f, a, fs, fv, width, k)
+    gpacked = fpacked if g is f else _kronecker_pack(g, a, gs, gv, width, k)
     out = {}
-    low = fs + gs
+    low_s, low_v = fs + gs, fv + gv
     for t, c in unpack_slots(fpacked * gpacked, slots, k):
-        s, j = divmod(t, width)
-        out[(low + s - j, j)] = c
+        ds, dv = divmod(t, width)
+        s = low_s + ds
+        j = low_v + dv - a * s
+        out[(s - j, j)] = c
     return _from_clean(out)
 
 
-def _kronecker_pack(f, s, width, k):
-    """f packed in k-byte slots, the term c*B^i*C^j at (i + j - s)*W + j."""
+def _kronecker_pack(f, a, s0, v0, width, k):
+    """f packed in k-byte slots, the term c*B^i*C^j at (s - s0)*W + (v - v0)
+    for s = i + j and v = j + a*s."""
     return pack_slots(
-        (((i + j - s) * width + j, c) for (i, j), c in f.terms.items()),
-        (f.total_degree - s + 1) * width,
+        (((i + j - s0) * width + j + a * (i + j) - v0, c) for (i, j), c in f.terms.items()),
+        (f.total_degree - s0 + 1) * width,
         k,
     )
 

@@ -9,6 +9,7 @@ Output is deterministic for fixed flags (sorted JSON, no timestamps).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -102,7 +103,9 @@ class PolyDiskCache:
         fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(_dump(entry))
+                # compact: json.dumps without indent runs the C encoder (json.dump
+                # to a file would not); load reads any layout
+                handle.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
                 handle.write("\n")
             os.replace(tmp, path)
         except BaseException:
@@ -322,7 +325,10 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared after it:
+    parse_args keeps no state between calls, each returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="modunits",
         description="Exact models and modular-unit dictionaries for X1(N).",

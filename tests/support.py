@@ -419,18 +419,25 @@ def mul_by_term_pairs(f, g):
 
 def divpoly_sequential(n):
     """[P_0, ..., P_n] by the division-polynomial recurrence, filled upward
-    from the printed P_0..P_4 through every index in turn; the reference for
-    the top-down memoised build."""
+    from the printed P_0..P_4 through every index in turn, every product
+    taken term pair by term pair; the reference for the top-down memoised
+    build and its Kronecker products."""
     from modunits.bivar_poly import B, C, ONE, ZERO, div_exact
+
+    mul = mul_by_term_pairs
+
+    def cube(f):
+        return mul(f, mul(f, f))
 
     P = [ZERO, ONE, -B, -(B ** 3), C * B ** 5]
     for k in range(5, n + 1):
         if k % 2:
             l = (k - 1) // 2
-            P.append(P[l + 2] * P[l] ** 3 - P[l + 1] ** 3 * P[l - 1])
+            P.append(mul(P[l + 2], cube(P[l])) - mul(cube(P[l + 1]), P[l - 1]))
         else:
             l = k // 2
-            num = P[l] * (P[l + 2] * P[l - 1] ** 2 - P[l - 2] * P[l + 1] ** 2)
+            below, above = mul(P[l - 1], P[l - 1]), mul(P[l + 1], P[l + 1])
+            num = mul(P[l], mul(P[l + 2], below) - mul(P[l - 2], above))
             P.append(div_exact(num, P[2]))
     return P[: n + 1]
 

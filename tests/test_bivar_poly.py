@@ -18,7 +18,7 @@ from modunits.bivar_poly import (
     render_poly,
 )
 from modunits import bivar_poly
-from modunits.bivar_poly import _mul_kronecker, pack_slots, unpack_slots
+from modunits.bivar_poly import _kronecker_frame, _mul_kronecker, pack_slots, unpack_slots
 from support import div_exact_rescan, mul_by_term_pairs, sylvester_resultant_in_C
 
 small_polys = st.dictionaries(
@@ -106,6 +106,52 @@ def test_kronecker_cancellation(f, g):
     assert prod == mul_by_term_pairs(f, f) - mul_by_term_pairs(g, g)
 
 
+def _total_degree_frame_slots(f, g):
+    """Slots of the packed product f * g in the unsheared frame (i + j, j),
+    with degC counted from 0."""
+    fs = [i + j for i, j in f.terms]
+    gs = [i + j for i, j in g.terms]
+    return (max(fs) - min(fs) + max(gs) - min(gs) + 1) * (f.deg_C + g.deg_C + 1)
+
+
+@settings(max_examples=200)
+@given(kronecker_polys, kronecker_polys)
+def test_kronecker_frame_is_no_larger_than_the_total_degree_frame(f, g):
+    assume(f and g)
+    assert _kronecker_frame(f, g)[-1] <= _total_degree_frame_slots(f, g)
+    assert _kronecker_frame(f, f)[-1] <= _total_degree_frame_slots(f, f)
+
+
+def test_division_polynomial_products_take_the_steepest_frame():
+    from modunits.divpoly import DivPolyCache
+
+    # the largest product made while building P_45
+    P = DivPolyCache().P
+    f, g = P(24), P(22) ** 3
+    a, _, _, _, slots = _kronecker_frame(f, g)
+    assert (a, slots) == (-2, 3672)
+    assert _total_degree_frame_slots(f, g) == 6426
+    assert _mul_kronecker(f, g) == mul_by_term_pairs(f, g)
+    # a polynomial along an axis keeps the unsheared frame
+    line = 2 ** 200 * B ** 30 - 1
+    assert _kronecker_frame(line, line)[0] == 0
+
+
+def test_kronecker_slot_bound_is_attained():
+    # f = +-M (1 + B + ... + B^r): the B^r coefficient of f * f is (r + 1) M^2,
+    # the bound itself, and M makes its bit length a whole number of bytes,
+    # so only the slot's extra byte holds the sign
+    r, M = 3, 2 ** 127 - 1
+    top = (r + 1) * M * M
+    assert top.bit_length() % 8 == 0
+    f = M * sum((B ** t for t in range(r + 1)), ZERO)
+    for g, h in ((f, f), (f, -f), (-f, f), (-f, -f)):
+        assert bivar_poly._coefficient_bound(g, h) == top
+        prod = _mul_kronecker(g, h)
+        assert prod == mul_by_term_pairs(g, h)
+        assert abs(prod.coefficient(r, 0)) == top
+
+
 @settings(max_examples=100)
 @given(
     st.integers(1, 6).flatmap(
@@ -147,9 +193,9 @@ def test_mul_takes_the_kronecker_path_above_the_cutoff(monkeypatch):
     p13, p12, p20, p18 = P(13), P(12), P(20), P(18)
     calls = []
 
-    def counted(f, g):
+    def counted(f, g, *frame):
         calls.append((len(f.terms), len(g.terms)))
-        return _mul_kronecker(f, g)
+        return _mul_kronecker(f, g, *frame)
 
     monkeypatch.setattr(bivar_poly, "_mul_kronecker", counted)
     assert len(p13.terms) * len(p12.terms) < bivar_poly._KRONECKER_MIN_PAIRS

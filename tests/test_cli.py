@@ -149,6 +149,22 @@ def test_verify_reports_failure_exit_code(monkeypatch):
     assert json.loads(text)["pass"] is False
 
 
+def test_successive_calls_share_no_state(capsys):
+    # one parser serves every call in the process; each call parses afresh
+    def precisions(text):
+        reports = json.loads(text)["reports"]
+        return {r["precN"] for r in reports if r["check"] not in ("ledger", "decompose_roundtrip")}
+
+    code, text = run_cli("verify", "--N", "5", "--trials", "1", "--prec", "30")
+    assert code == 0 and precisions(text) == {30}
+    code, text = run_cli("verify", "--N", "5", "--trials", "1")
+    assert code == 0 and precisions(text) == {75}
+    capsys.readouterr()
+    assert run_cli("verify", "--N", "5", "--prec", "x") == (2, "")
+    assert "invalid int value" in capsys.readouterr().err
+    assert run_cli("verify", "--N", "5", "--trials", "1") == (0, text)
+
+
 def test_verify_usage_error():
     code, _ = run_cli("verify", "--N", "3")
     assert code == 2
@@ -437,6 +453,29 @@ def test_cache_round_trip(tmp_path):
         entry.write_text(json.dumps(bad))
         assert cli.PolyDiskCache(cache_dir).load("F", 8) is None, polyobj
         assert run_cli("poly", "F", "--n", "8", "--cache", str(cache_dir)) == cold, polyobj
+
+
+def test_indented_cache_entry_still_loads(tmp_path, monkeypatch):
+    # entries are written compact; one in the indented layout still hits,
+    # since the hash covers the polynomial, not the file's text
+    cache_dir = tmp_path / "cache"
+    cold = run_cli("poly", "F", "--n", "8", "--cache", str(cache_dir))
+    entry = cache_dir / "F_000008.json"
+    obj = json.loads(entry.read_text())
+    assert entry.read_text() == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    entry.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    built = []
+    build = cli.divpoly.DivPolyCache.F
+
+    def spy(self, n):
+        built.append(n)
+        return build(self, n)
+
+    monkeypatch.setattr(cli.divpoly.DivPolyCache, "F", spy)
+    assert run_cli("poly", "F", "--n", "8", "--cache", str(cache_dir)) == cold
+    assert built == []
+    assert run_cli("poly", "F", "--n", "9", "--cache", str(cache_dir))[0] == 0
+    assert built == [9]
 
 
 def test_cache_entry_schema(tmp_path):
