@@ -39,6 +39,7 @@ __all__ = [
     "gcd",
     "remove_common",
     "render_poly",
+    "render_obj",
     "parse_poly",
     "poly_to_obj",
     "poly_from_obj",
@@ -617,8 +618,7 @@ class RatPoly:
 # -- text and JSON forms -----------------------------------------------------
 
 
-def _mono_str(mono):
-    i, j = mono
+def _mono_str(i, j):
     parts = []
     if i:
         parts.append("B" if i == 1 else "B^%d" % i)
@@ -627,29 +627,38 @@ def _mono_str(mono):
     return "*".join(parts)
 
 
+def render_obj(obj):
+    """Canonical text form of a poly_to_obj or rat_to_obj object, its terms
+    in their order there, e.g. "B*C^2 - 2*B^2 + 3*B*C - C^2"; a quotient
+    over 1 is its numerator alone."""
+    if "num" in obj:
+        num = render_obj(obj["num"])
+        if obj["den"]["terms"] == [[0, 0, "1"]]:
+            return num
+        return "%s / (%s)" % (num, render_obj(obj["den"]))
+    parts = []
+    for i, j, c in obj["terms"]:
+        body = _mono_str(i, j)
+        negative = c.startswith("-")
+        mag = c[1:] if negative else c
+        if body:
+            s = body if mag == "1" else "%s*%s" % (mag, body)
+        else:
+            s = mag
+        if not parts:
+            parts.append("-" + s if negative else s)
+        else:
+            parts.append((" - " if negative else " + ") + s)
+    return "".join(parts) or "0"
+
+
 def render_poly(f):
     """Canonical text form, e.g. "B*C^2 - 2*B^2 + 3*B*C - C^2"."""
-    if f.is_zero:
-        return "0"
-    parts = []
-    for mono, c in f.sorted_terms():
-        body = _mono_str(mono)
-        mag = abs(c)
-        if body:
-            s = body if mag == 1 else "%d*%s" % (mag, body)
-        else:
-            s = str(mag)
-        if not parts:
-            parts.append(s if c > 0 else "-" + s)
-        else:
-            parts.append((" + " if c > 0 else " - ") + s)
-    return "".join(parts)
+    return render_obj(poly_to_obj(f))
 
 
 def render_rat(r):
-    if r.den == ONE:
-        return render_poly(r.num)
-    return "%s / (%s)" % (render_poly(r.num), render_poly(r.den))
+    return render_obj(rat_to_obj(r))
 
 
 _FACTOR_RE = re.compile(r"^(?:(\d+)|([BC])(?:\^(\d+))?)$")

@@ -26,8 +26,7 @@ from .bivar_poly import (
     poly_to_obj,
     rat_from_obj,
     rat_to_obj,
-    render_poly,
-    render_rat,
+    render_obj,
 )
 from .qseries import QSeries
 from .siegel import h_star, product_series
@@ -90,8 +89,8 @@ class PolyDiskCache:
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             return None
 
-    def store(self, kind, n, poly):
-        polyobj = rat_to_obj(poly) if isinstance(poly, RatPoly) else poly_to_obj(poly)
+    def store(self, kind, n, polyobj):
+        """Write polyobj, the poly_to_obj or rat_to_obj object of P_n or F_n."""
         entry = {
             "kind": kind,
             "n": n,
@@ -117,7 +116,13 @@ class PolyDiskCache:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _poly_obj(poly):
+    return rat_to_obj(poly) if isinstance(poly, RatPoly) else poly_to_obj(poly)
+
+
 def _cmd_poly(args, out):
+    """Print P_n, F_n or D from one term object: the object a cold call
+    stores is the one it prints, as JSON or as text."""
     kind = args.kind
     try:
         cache = PolyDiskCache(args.cache) if args.cache else None
@@ -125,7 +130,7 @@ def _cmd_poly(args, out):
         raise _UsageError("cannot use cache directory: %s" % exc)
     divc = divpoly.DivPolyCache()
     if kind == "D":
-        poly = divpoly.DISCRIMINANT
+        obj = _poly_obj(divpoly.DISCRIMINANT)
     else:
         if args.n is None:
             raise _UsageError("--n is required for kind %s" % kind)
@@ -133,19 +138,17 @@ def _cmd_poly(args, out):
         if kind == "F" and n < 2:
             raise _UsageError("F_n needs n >= 2")
         poly = cache.load(kind, n) if cache else None
-        if poly is None:
+        if poly is not None:
+            obj = _poly_obj(poly)
+        else:
             try:
                 poly = divc.P(n) if kind == "P" else divc.F(n)
             except ValueError as exc:
                 raise _UsageError(str(exc))
+            obj = _poly_obj(poly)
             if cache:
-                cache.store(kind, n, poly)
-    if args.format == "text":
-        text = render_rat(poly) if isinstance(poly, RatPoly) else render_poly(poly)
-        print(text, file=out)
-    else:
-        obj = rat_to_obj(poly) if isinstance(poly, RatPoly) else poly_to_obj(poly)
-        print(_dump(obj), file=out)
+                cache.store(kind, n, obj)
+    print(render_obj(obj) if args.format == "text" else _dump(obj), file=out)
     return 0
 
 

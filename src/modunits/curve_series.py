@@ -63,15 +63,15 @@ evaluates Q at the least precision whose compared window reaches it
 compares that window as before, and a pass there is agreement, not a proof.
 No bound is used for the d check at N = 4 (c is the zero function) or when
 a term's vector is not in S.  Either way the verdict and the first failing
-exponent are those of the whole window.  Each product is memoised once per
-vector, at the longest precision built (CurveExpansion.product), and b and
-c are built on first use.
+exponent are those of the whole window.  Each Siegel product is built
+where its check reads it, to that check's window; an expansion keeps only
+its own level's b, c and powers of b, built on first use, and its p-check
+reports, and shares nothing with another expansion.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -95,9 +95,9 @@ __all__ = [
 
 
 class CurveExpansion:
-    """Series data for one level; immutable after construction apart from the
-    caches _products (Siegel products by exponent vector), b, c, _bpows
-    (powers of b) and _preports (p-check reports)."""
+    """Series data for one level at precision precN; immutable after
+    construction apart from the caches b, c, _bpows (powers of b) and
+    _preports (p-check reports)."""
 
     def __init__(self, N, precN):
         if N < 4:
@@ -106,18 +106,7 @@ class CurveExpansion:
             raise ValueError("precN must be at least 1")
         self.N = N
         self.precN = precN
-        self.divcache = divpoly._default_cache
-        self._products = {}
         self._preports = {}
-
-    def at(self, precN):
-        """This level at precision precN, sharing this expansion's Siegel
-        products (self when precN is its own)."""
-        if precN == self.precN:
-            return self
-        other = CurveExpansion(self.N, precN)
-        other._products = self._products
-        return other
 
     @cached_property
     def b(self):
@@ -134,24 +123,9 @@ class CurveExpansion:
 
     @property
     def d(self):
-        """The d series, resolved from its memoised Siegel product; verify's
-        check of d reads d / b^3 instead and builds no d."""
-        return self.product(d_to_h(self.N)).to_qseries()
-
-    def product(self, vec, precN=None):
-        """product_series(vec, precN), precN defaulting to self.precN.  The
-        memo keeps one entry per exponent vector, the longest product built
-        so far, and serves a shorter request by cutting its reduced series;
-        at small levels distinct units can share a vector (v = -p_3 at N = 4,
-        c = p_2 at N = 5)."""
-        if precN is None:
-            precN = self.precN
-        sp = self._products.get(vec)
-        if sp is None or sp.fstar.precN < precN:
-            sp = self._products[vec] = product_series(vec, precN)
-        if sp.fstar.precN > precN:
-            sp = replace(sp, fstar=QSeries(self.N, 0, sp.fstar.coeffs[:precN], precN))
-        return sp
+        """The d series, one Siegel product; verify's check of d reads d / b^3
+        instead and builds no d."""
+        return product_series(d_to_h(self.N), self.precN).to_qseries()
 
     def fold(self, powers):
         """Fold prod p_k^r over the (k, r) items of powers to (vanishes, sign,
@@ -183,12 +157,12 @@ class CurveExpansion:
         the result is the zero series to precN times the product of the other
         factors."""
         vanishes, sign, vec = self.fold(powers)
-        rest = self.product(vec).to_qseries(sign)
+        rest = product_series(vec, self.precN).to_qseries(sign)
         return QSeries.zero(self.N, self.precN) * rest if vanishes else rest
 
     def p(self, n):
-        """The p_n series (zero to precision when n = 0 mod N), resolved from
-        its memoised Siegel product."""
+        """The p_n series (zero to precision when n = 0 mod N), one Siegel
+        product."""
         return self.monomial({n: 1})
 
     def p_report(self, n):
@@ -236,14 +210,17 @@ def cusp_classes(N):
     """(count, width) of the cusps of X1(N) in each class alpha = 0..m: the
     cusps a/c whose top entry a is +-alpha mod N.  With g = gcd(alpha, N) a
     class holds phi(g) cusps, halved (at least 1) when 2 alpha = 0 mod N,
-    each of width N/g; alpha = 1 is the cusp at infinity alone."""
+    each of width N/g; alpha = 1 is the cusp at infinity alone.  The one
+    exception is the cusp 1/2 at N = 4, irregular for Gamma^1(4): with -I
+    its stabiliser holds T itself, so it has width 1, and the widths sum to
+    the index 6 of +-Gamma^1(4)."""
     out = []
     for alpha in range(N // 2 + 1):
         g = gcd(alpha, N)
         count = sum(1 for x in range(g) if gcd(x, g) == 1)
         if 2 * alpha % N == 0:
             count = max(1, count // 2)
-        out.append((count, N // g))
+        out.append((count, 1 if (N, alpha) == (4, 2) else N // g))
     return tuple(out)
 
 
@@ -270,8 +247,7 @@ def _valence_bound(N, vecs):
     has its poles among the cusps, at most P of them away from infinity
     counted with order, so by the valence formula its order at infinity, in
     q^(1/N), is at most P: two sides of such an identity that agree up to
-    q^(P/N) agree exactly.  At N = 4 the width 2 of the class alpha = 2
-    doubles the order at its irregular cusp, which only raises P."""
+    q^(P/N) agree exactly."""
     if not all(map(is_in_S, vecs)):
         return None
     orders = [cusp_orders(vec) for vec in vecs]
@@ -343,7 +319,7 @@ def _divided(expansion, lhs, rhs, top=None):
     def series(fold):
         _, sign, vec = fold
         vec = vec - rvec
-        return expansion.product(vec, window(vec)).to_qseries(sign * rsign, s)
+        return product_series(vec, window(vec)).to_qseries(sign * rsign, s)
 
     zero = QSeries.zero(N, s + window(ExpVector.zero(N)))
     left = zero if lhs[0] else series(lhs)
@@ -442,8 +418,9 @@ def p_consistency_report(expansion, n):
     """P_n(b, c) agrees with the p_n series (vanishes when n = 0 mod N),
     decided by _identity_report with p_n on the left.
 
-    For n <= 4, P_n is one term eps B^i C^j and b = -p_2, c = -p_4 / p_2^5,
-    so the right side is the p-monomial eps (-1)^(i+j) p_2^(i-5j) p_4^j.  For
+    For 1 <= n <= 4, P_n is one term eps B^i C^j (divpoly.P_BASE) and
+    b = -p_2, c = -p_4 / p_2^5, so the right side is the p-monomial
+    eps (-1)^(i+j) p_2^(i-5j) p_4^j; an index below 1 is refused.  For
     n >= 5 it is u - v of the division-polynomial recurrence; since P_n is
     built by that same recurrence, this is equivalent to P_n(b, c) = p_n once
     the lower indices are checked.  Unless u or v carries a zero factor or
@@ -451,11 +428,13 @@ def p_consistency_report(expansion, n):
     the left side is q^(s/N), the shifted constant 1, and no p_n series is
     built.  This report is not memoised; CurveExpansion.p_report is.
     """
+    if n < 1:
+        raise ValueError("the p-checks start at n = 1, got %d" % n)
     if n >= 5:
         u, v = (expansion.fold(pw) for pw in _recurrence_powers(n))
         rhs = [(1, u), (-1, v)]
     else:
-        ((i, j), eps), = expansion.divcache.P(n).terms.items()
+        ((i, j), eps), = divpoly.P_BASE[n].terms.items()
         rhs = [(eps * (-1) ** (i + j), expansion.fold({2: i - 5 * j, 4: j}))]
     return _identity_report("p_consistency", expansion, expansion.fold({n: 1}), rhs, n)
 
@@ -479,11 +458,11 @@ def d_consistency_report(expansion):
     N = expansion.N
     _, sign, bvec = expansion.fold({2: 1})
     rvec = d_to_h(N) - bvec.scale(3)
-    short = expansion.at(_d_window(expansion, bvec, rvec))
+    short = CurveExpansion(N, _d_window(expansion, bvec, rvec))
     s = short.b.ord
     q = short.eval_poly(divpoly.D_COFACTOR)
     lhs = QSeries(N, q.ord + 3 * s, q.coeffs, q.precN + 3 * s)
-    rhs = short.product(rvec).to_qseries(-sign, 3 * s)
+    rhs = product_series(rvec, short.precN).to_qseries(-sign, 3 * s)
     return _agreement_report("d_consistency", expansion, lhs, rhs)
 
 

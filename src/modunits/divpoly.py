@@ -38,7 +38,7 @@ from .bivar_poly import (
     div_exact,
 )
 
-__all__ = ["DivPolyCache", "FactorizationIncomplete", "DISCRIMINANT", "D_COFACTOR"]
+__all__ = ["DivPolyCache", "FactorizationIncomplete", "DISCRIMINANT", "D_COFACTOR", "P_BASE"]
 
 
 class FactorizationIncomplete(ArithmeticError):
@@ -53,18 +53,23 @@ D_COFACTOR = (
 )
 DISCRIMINANT = B ** 3 * D_COFACTOR
 
+# P_0..P_4, the base cases of the recurrence; verify's checks of n <= 4 read
+# their one term from here
+P_BASE = (ZERO, ONE, -B, -(B ** 3), C * B ** 5)
+
 
 class DivPolyCache:
     """Memoised P_n / F_n computation.
 
-    The cache is the only mutable state and is not locked, so give each
-    thread its own instance.  ``max_n`` guards against accidental huge
-    requests (deg P_n grows quadratically); pass a larger value to override.
+    The cache is the only mutable state and is not locked; no instance is
+    shared at module level, and each `poly` call builds its own.  ``max_n``
+    guards against accidental huge requests (deg P_n grows quadratically);
+    pass a larger value to override.
     """
 
     def __init__(self, max_n=200):
         self.max_n = max_n
-        self._P = {0: ZERO, 1: ONE, 2: -B, 3: -(B ** 3), 4: C * B ** 5}
+        self._P = dict(enumerate(P_BASE))
         self._F = {3: B}
 
     def P(self, n):
@@ -166,5 +171,3 @@ class DivPolyCache:
             return -1, exps
         raise FactorizationIncomplete("P_%d is not +-B^%d times its F_d" % (n, a))
 
-
-_default_cache = DivPolyCache()

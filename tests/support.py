@@ -27,6 +27,9 @@ cusps_by_orbits and index_of_gamma1, the references for the closed-form
 cusp classes of curve_series, enumerate the cusps of +-Gamma^1(N) as orbits
 of columns mod N and count SL_2(Z/N) by its columns.
 
+DIVPOLY is the one DivPolyCache the tests read P_n and F_n from; the
+library shares none.
+
 A few helpers the library no longer carries, since no command uses them,
 live here: lead_exponent, the leading exponent of one Siegel function, which
 product_series_by_powers sums; compose, substitution into a polynomial of
@@ -36,7 +39,10 @@ coefficient_gcd, for Gauss's lemma on series.
 
 from math import gcd
 
+from modunits.divpoly import DivPolyCache
 from modunits.unit_lattice import ExpVector, is_in_S
+
+DIVPOLY = DivPolyCache()
 
 
 def dense_mul(a, b, cap):
@@ -237,7 +243,7 @@ def p_consistency_undivided(expansion, n):
         terms = [(sign, mono) for sign, mono in zip((1, -1), monomials) if not mono.is_zero]
         value = combination(terms) if terms else QSeries.zero(N, expansion.p(n).precN)
     else:
-        value = eval_poly_by_terms(expansion, expansion.divcache.P(n))
+        value = eval_poly_by_terms(expansion, DIVPOLY.P(n))
     if n % N == 0:
         return vanishing_report("p_consistency", expansion, value, n=n)
     return _agreement_report("p_consistency", expansion, expansion.p(n), value, n=n)
@@ -247,7 +253,7 @@ def defining_equation_by_evaluation(expansion):
     """The defining-equation report made by building F_N and evaluating it at
     (b, c), compared with zero on the tracked window; the reference for
     defining_equation_report, which derives it from the p-checks."""
-    value = expansion.eval_poly(expansion.divcache.F(expansion.N))
+    value = expansion.eval_poly(DIVPOLY.F(expansion.N))
     return vanishing_report("defining_equation", expansion, value)
 
 
@@ -268,12 +274,13 @@ def express2_by_series(expansion):
     (N even); the reference for express2_series_report, which compares
     exponent vectors."""
     from modunits.curve_series import _agreement_report
+    from modunits.siegel import product_series
     from modunits.unit_lattice import v_to_h
 
     N = expansion.N
     m = N // 2
     partner = m if N % 2 else m - 1
-    v = expansion.product(v_to_h(N)).to_qseries()
+    v = product_series(v_to_h(N), expansion.precN).to_qseries()
     return _agreement_report("express2_series", expansion,
                              expansion.p(m + 1), v * expansion.p(partner), n=m + 1)
 
@@ -592,8 +599,8 @@ def cusps_by_orbits(N):
     (a, c) -> (a, c + a) and (a, c) -> (-a, -c) on them are the cusps of
     +-Gamma^1(N), filed under alpha = min(a, N - a).  A cusp's width is the
     least h > 0 for which gamma T^h gamma^-1 = I + h [[-ac, a^2], [-c^2, ac]]
-    is congruent to [[1, 0], [*, 1]] mod N (at N = 4 the cusp 1/2 is
-    irregular: with -I its width would be 1)."""
+    is congruent to +-[[1, 0], [*, 1]] mod N; the sign - is needed only at
+    the cusp 1/2 of N = 4, which is irregular for Gamma^1(4)."""
     cols = [(a, c) for a in range(N) for c in range(N) if gcd(gcd(a, c), N) == 1]
     parent = {col: col for col in cols}
 
@@ -606,9 +613,14 @@ def cusps_by_orbits(N):
         for other in ((a, (c + a) % N), (-a % N, -c % N)):
             parent[find(other)] = find((a, c))
     roots = {find(col) for col in cols}
+
+    def fixes(h, a, c):
+        top, corner, bottom = (1 - h * a * c) % N, h * a * a % N, (1 + h * a * c) % N
+        return corner == 0 and top == bottom and top in (1, N - 1)
+
     out = {}
     for a, c in roots:
-        width = next(h for h in range(1, N + 1) if h * a * c % N == 0 and h * a * a % N == 0)
+        width = next(h for h in range(1, N + 1) if fixes(h, a, c))
         out.setdefault(min(a, N - a), []).append(width)
     return out
 

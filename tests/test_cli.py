@@ -484,3 +484,24 @@ def test_cache_entry_schema(tmp_path):
     entry = json.loads((cache_dir / "P_000006.json").read_text())
     assert entry["kind"] == "P" and entry["n"] == 6
     assert {"polynomial", "toolVersion", "contentHash"} <= set(entry)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cold_poly_call_sorts_once(tmp_path, monkeypatch, fmt):
+    # a cold call builds one term object, stores it and prints it: P_n's
+    # terms are put in canonical order once, and the warm call that reads
+    # the entry back prints the same bytes
+    from modunits.bivar_poly import BivarPoly
+
+    sorts = []
+    real = BivarPoly.sorted_terms
+
+    def spy(self):
+        sorts.append(len(self.terms))
+        return real(self)
+
+    monkeypatch.setattr(BivarPoly, "sorted_terms", spy)
+    argv = ("poly", "P", "--n", "12", "--format", fmt, "--cache", str(tmp_path / "cache"))
+    cold = run_cli(*argv)
+    assert cold[0] == 0 and len(sorts) == 1
+    assert run_cli(*argv) == cold

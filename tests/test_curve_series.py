@@ -22,6 +22,7 @@ from modunits.curve_series import (
 from modunits.divpoly import D_COFACTOR, DISCRIMINANT
 from modunits.qseries import QSeries, ZeroSeries
 from support import (
+    DIVPOLY,
     d_consistency_by_evaluation,
     defining_equation_by_evaluation,
     eval_poly_by_terms,
@@ -158,8 +159,8 @@ def test_eval_poly_horner_matches_term_evaluation():
     for N in range(4, 15):
         exp = _expansion(N, 15 * N)
         pows = {}
-        polys = [exp.divcache.P(n) for n in range(1, N // 2 + 3)]
-        polys += [exp.divcache.F(N), DISCRIMINANT, D_COFACTOR]
+        polys = [DIVPOLY.P(n) for n in range(1, N // 2 + 3)]
+        polys += [DIVPOLY.F(N), DISCRIMINANT, D_COFACTOR]
         for f in polys:
             got = exp.eval_poly(f)
             want = eval_poly_by_terms(exp, f, pows)
@@ -189,7 +190,7 @@ def test_recurrence_reports_match_term_evaluation(N):
     exp = expand_curve(N, 2 * N)
     pows = {}
     for n in range(1, 3 * N + 1):
-        value = eval_poly_by_terms(exp, exp.divcache.P(n), pows)
+        value = eval_poly_by_terms(exp, DIVPOLY.P(n), pows)
         if n % N == 0:
             want = vanishing_report("p_consistency", exp, value, n=n)
         else:
@@ -205,7 +206,7 @@ def test_recurrence_window_at_verify_precision():
         exp = _expansion(N, 15 * N)
         for n in range(5, N // 2 + 3):
             rhs = _recurrence_series(exp, n)
-            value = eval_poly_by_terms(exp, exp.divcache.P(n))
+            value = eval_poly_by_terms(exp, DIVPOLY.P(n))
             assert _window(exp.p(n), rhs) >= _window(exp.p(n), value), (N, n)
 
 
@@ -220,17 +221,20 @@ def _vector(N, powers):
 
 
 def test_p_consistency_fails_on_perturbed_series(monkeypatch):
-    # the check of p_n, n != 0 mod N, reads u / p_n as one memoized Siegel
-    # product: one coefficient of it inside the compared window, above its
-    # leading term, fails the check at that exponent in p_n's frame, where u
-    # starts.  In each case v is nonzero too: were it the zero series, u would
-    # be p_n and u / p_n the constant 1 that the left side reads as well.  The
-    # window ends at the proof top, which at (7, 5), (9, 6) and (6, 7) leaves
-    # u / p_n two coefficients, so the one corrupted is the second
+    # the check of p_n, n != 0 mod N, reads u / p_n as one Siegel product,
+    # built where the check reads it: one coefficient of it inside the
+    # compared window, above its leading term, fails the check at that
+    # exponent in p_n's frame, where u starts.  In each case v is nonzero
+    # too: were it the zero series, u would be p_n and u / p_n the constant 1
+    # that the left side reads as well.  The window ends at the proof top,
+    # which at (7, 5), (9, 6) and (6, 7) leaves u / p_n two coefficients, so
+    # the one corrupted is the second
     from dataclasses import replace
 
+    from modunits import curve_series
     from modunits.curve_series import _valence_bound
 
+    real_product = curve_series.product_series
     for N, n in ((7, 5), (9, 6), (10, 8), (11, 7), (6, 7), (8, 9)):
         exp = expand_curve(N, 6 * N)
         assert p_consistency_report(exp, n)["pass"]
@@ -241,11 +245,18 @@ def test_p_consistency_fails_on_perturbed_series(monkeypatch):
         assert e < exp.p(n).ord + _valence_bound(N, terms) + 1, (N, n)
         powers[n] = -1
         vec = _vector(N, powers)
-        good = exp._products[vec]
-        coeffs = list(good.fstar.coeffs)
-        coeffs[1] += 1
-        exp._products[vec] = replace(good, fstar=QSeries(N, 0, coeffs, good.fstar.precN))
+
+        def corrupted(v, precN, vec=vec):
+            good = real_product(v, precN)
+            if v != vec:
+                return good
+            coeffs = list(good.fstar.coeffs)
+            coeffs[1] += 1
+            return replace(good, fstar=QSeries(N, 0, coeffs, good.fstar.precN))
+
+        monkeypatch.setattr(curve_series, "product_series", corrupted)
         report = p_consistency_report(exp, n)
+        monkeypatch.setattr(curve_series, "product_series", real_product)
         assert not report["pass"], (N, n)
         assert report["firstFailingExponent"] == str(Fraction(e, N)), (N, n)
     # when n = 0 mod N, u and v are one Siegel product (one vector), so no
@@ -253,8 +264,6 @@ def test_p_consistency_fails_on_perturbed_series(monkeypatch):
     # the folded vectors instead, and a corrupted vector of a factor of u
     # alone fails it.  At N = 5, n = 10 both carry the zero factor p_5, so
     # u - v = 0 - 0 whatever the other factors are
-    from modunits import curve_series
-
     real = curve_series.p_to_h
     for N, n, k in ((6, 6, 5), (5, 5, 4)):
         u, v = (_vector(N, _powers(pairs)) for pairs in recurrence_pairs(n))
@@ -340,8 +349,9 @@ def test_express2_reads_the_level_expansion(monkeypatch):
         partner = m if N % 2 else m - 1
         sign, vec = p_to_h(partner, N)
         joint = product_series(v_to_h(N) + vec, precN)
-        assert exp.product(v_to_h(N)).ipow == 0, N
-        assert exp.product(v_to_h(N)).to_qseries() * exp.p(partner) == (
+        v = product_series(v_to_h(N), precN)
+        assert v.ipow == 0, N
+        assert v.to_qseries() * exp.p(partner) == (
             joint.to_qseries(sign)
         ), N
         # and p_{m+1} and the partner are read off p_to_h: handing either the
@@ -435,6 +445,28 @@ def test_verify_never_builds_F(monkeypatch):
     for N in range(4, 21):
         reports = cli._verify_tasks(N, 15 * N, N // 2 + 2, 1, 1)
         assert all(r["pass"] for r in reports), N
+
+
+def test_verify_reads_no_division_polynomial(monkeypatch):
+    # the checks of n <= 4 read P_1..P_4 from divpoly.P_BASE and the others
+    # are decided on Siegel products, so verify builds and reads no P_n or F_n
+    from modunits import cli
+    from modunits.divpoly import DivPolyCache
+
+    calls = []
+
+    def spy(name):
+        real = getattr(DivPolyCache, name)
+
+        def read(self, n):
+            calls.append((name, n))
+            return real(self, n)
+        return read
+
+    for name in ("P", "F"):
+        monkeypatch.setattr(DivPolyCache, name, spy(name))
+    assert cli.main(["verify", "--N", "4..14", "--seed", "1"], out=io.StringIO()) == 0
+    assert not calls, calls
 
 
 def test_verify_makes_each_p_check_once(monkeypatch):
@@ -531,9 +563,18 @@ def test_p4_at_level_4_is_a_vanishing_check():
     # vanishing check of the same value, at every precision
     for precN in range(1, 21):
         exp = expand_curve(4, precN)
-        lhs = exp.eval_poly(exp.divcache.P(4))
+        lhs = exp.eval_poly(DIVPOLY.P(4))
         want = vanishing_report("p_consistency", exp, lhs, n=4)
         assert p_consistency_report(exp, 4) == want, precN
+
+
+def test_p_check_refuses_an_index_below_1():
+    # P_1..P_4 are read from the tuple P_0..P_4, where a negative index
+    # would name another base case
+    exp = expand_curve(5, 30)
+    for n in (0, -1, -4):
+        with pytest.raises(ValueError):
+            p_consistency_report(exp, n)
 
 
 def _precisions(N):
@@ -729,8 +770,8 @@ def test_grouping_is_an_exact_sum_over_vectors(terms, rng):
 @pytest.mark.parametrize("N", range(4, 31))
 def test_cusp_classes_match_orbit_enumeration(N):
     # the closed-form count and width of each class alpha against the orbits
-    # of +-Gamma^1(N) on the cusps of Gamma(N); from N = 5 on, with no
-    # irregular cusp, the widths sum to the index
+    # of +-Gamma^1(N) on the cusps of Gamma(N), and the widths sum to the
+    # index, the irregular cusp 1/2 of N = 4 included
     from modunits.curve_series import cusp_classes
     from support import cusps_by_orbits, index_of_gamma1
 
@@ -739,11 +780,10 @@ def test_cusp_classes_match_orbit_enumeration(N):
     assert sorted(orbits) == list(range(len(classes)))
     for alpha, (count, width) in enumerate(classes):
         assert orbits[alpha] == [width] * count, (N, alpha)
-    if N >= 5:
-        assert sum(count * width for count, width in classes) == index_of_gamma1(N)
+    assert sum(count * width for count, width in classes) == index_of_gamma1(N)
 
 
-@pytest.mark.parametrize("N", range(5, 42))
+@pytest.mark.parametrize("N", range(4, 42))
 def test_cusp_orders_on_basis_S(N):
     # every unit of X1(N) has a divisor of degree 0 supported on the cusps,
     # with integral orders, and its order at infinity is N times its leading
