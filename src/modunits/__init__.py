@@ -41,6 +41,7 @@ from .unit_lattice import (
     d_to_h,
     decompose_series,
     expand_p_expression,
+    fold_p,
     is_in_S,
     lattice_index,
     p_to_h,
@@ -80,6 +81,7 @@ __all__ = [
     "d_to_h",
     "v_to_h",
     "p_to_h",
+    "fold_p",
     "to_p_expression",
     "expand_p_expression",
     "decompose_series",

@@ -195,7 +195,7 @@ class BivarPoly:
         pairs = len(self.terms) * len(other.terms)
         if pairs >= _KRONECKER_MIN_PAIRS:
             frame = _kronecker_frame(self, other)
-            if 2 * frame[-1] <= pairs:
+            if 5 * frame[-1] <= 2 * pairs:
                 return _mul_kronecker(self, other, frame)
         out = {}
         for (i1, j1), c1 in self.terms.items():
@@ -301,12 +301,15 @@ def div_exact(f, g):
 # -- Kronecker product --------------------------------------------------------
 
 # BivarPoly.__mul__ takes the Kronecker path for products of at least this many
-# term pairs whose packed form has at most one slot per two pairs.  Measured
+# term pairs whose packed form has at most two slots per five pairs.  Measured
 # against the dict loop (py3.11, 2 cores, frame choice included), the Kronecker
 # path runs at 0.2x its speed at 4 x 3 terms, breaks even near 500 pairs on
 # division-polynomial operands (0.8x at 378, 1.0-1.1x at 476-560) and near 0.4
-# slots per pair on random sparse ones of 40 x 40 terms (0.8x at 0.5), and runs
-# at 2.2x at 40 x 34 terms (P_16 * P_15) and 12x at 904 x 717 (P_35 * P_33).
+# slots per pair on random sparse ones of 40 x 40 terms (1.2x at 0.3-0.35,
+# 0.97x at 0.35-0.4, 0.89x at 0.4-0.45, 0.8x at 0.5), and runs at 2.2x at
+# 40 x 34 terms (P_16 * P_15) and 12x at 904 x 717 (P_35 * P_33).  The
+# division-polynomial products that reach the gate sit at 0.38 slots per pair
+# or fewer.
 _KRONECKER_MIN_PAIRS = 500
 
 

@@ -4,7 +4,8 @@ between them.
 b and c are recovered from the Siegel side through p_2 = -b and p_4 = c b^5;
 d is the series of (t h_{(1/N,0)})^12.  Every product of powers of the p_k
 (p_n itself, c = -p_4 / p_2^5 and the monomials of the recurrence below) is
-one Siegel product, built by CurveExpansion.monomial; a factor p_k with
+one Siegel product, whose exponent vector and sign unit_lattice.fold_p
+gives, and CurveExpansion.monomial its series; a factor p_k with
 k = 0 mod N makes it the zero series, which is how c vanishes at N = 4, with
 no branch for that level.  The checks verify that P_n(b, c) agrees with the
 p_n series coming from the exponent dictionary and that D(b, c) agrees with
@@ -13,23 +14,24 @@ and precision precN from it.
 
 The p-checks, the p_{m+1} identity and the defining equation are identities
 between Siegel products, and one rule decides them all (_identity_report).
-Each side is folded to terms +-(one Siegel product), and the terms of the
-difference are grouped by exponent vector, those with a zero factor
-dropped.  By Kubert-Lang independence, products with distinct vectors have
-a non-constant quotient: at the lowest x with m_x != 0 the reduced quotient
-has a nonzero coefficient at q^(x/N).  So when every group cancels the
-identity holds exactly, with no series built; when one or two groups are
-left it fails exactly, also on a mismatch beyond the tracked window.  Only
-three or more groups left make a genuine unit equation, compared as series
-up to its proof window (below): every term is divided by the left side's
-unit r (r = 1 when the left side vanishes) and shifted by q^(s/N), s/N the
-leading exponent of r.  Dividing by r = +-q^(s/N) (1 + ...) keeps the
-lowest exponent of every difference and the shift puts the window back on
-the left side's exponents, so the window, the verdict and the first failing
-exponent are those of the undivided sides.  The divided vectors are small
-(at N = 14, u/p_9 has (-3, 0, 0, 3, -1, 1, 0) against
-(156, -240, 80, 3, 0, 1, 0) for u), so those series run on few-bit
-integers.  An exact failure is located by the same divided comparison.
+Each side is folded by fold_p to terms +-(one Siegel product), and the
+terms of the difference are grouped by exponent vector, those with a zero
+factor dropped.  By Kubert-Lang independence, products with distinct
+vectors have a non-constant quotient: at the lowest x with m_x != 0 the
+reduced quotient has a nonzero coefficient at q^(x/N).  So when every group
+cancels the identity holds exactly, with no series built; when one or two
+groups are left it fails exactly, also on a mismatch beyond the tracked
+window.  Only three or more groups left make a genuine unit equation,
+compared as series up to its proof window (below): every term is divided
+by the left side's unit r (r = 1 when the left side vanishes) and shifted
+by q^(s/N), s/N the leading exponent of r.  Dividing by
+r = +-q^(s/N) (1 + ...) keeps the lowest exponent of every difference and
+the shift puts the window back on the left side's exponents, so the window,
+the verdict and the first failing exponent are those of the undivided
+sides.  The divided vectors are small (at N = 14, u/p_9 has
+(-3, 0, 0, 3, -1, 1, 0) against (156, -240, 80, 3, 0, 1, 0) for u), so
+those series run on few-bit integers.  An exact failure is located by the
+same divided comparison.
 
 For n <= 4, P_n is one term (1, -B, -B^3, C B^5), so the check of p_n
 compares p_n with one p-monomial in p_2 and p_4; only p_3 = p_2^3 has
@@ -79,7 +81,7 @@ from math import gcd
 from . import divpoly
 from .qseries import QSeries, ZeroSeries, combination
 from .siegel import PhaseNotRational, product_lead_exponent, product_series
-from .unit_lattice import ExpVector, d_to_h, is_in_S, p_to_h, v_to_h
+from .unit_lattice import ExpVector, d_to_h, fold_p, is_in_S, v_to_h
 
 __all__ = [
     "PhaseNotRational",
@@ -127,36 +129,12 @@ class CurveExpansion:
         instead and builds no d."""
         return product_series(d_to_h(self.N), self.precN).to_qseries()
 
-    def fold(self, powers):
-        """Fold prod p_k^r over the (k, r) items of powers to (vanishes, sign,
-        vec): the exponent vector sum r*vec_k and the sign prod s_k^(r mod 2)
-        of the factors with k != 0 mod N, and whether a factor p_k with
-        k = 0 mod N (the zero series) occurs.  A negative power of such a
-        factor raises ZeroSeries."""
-        N = self.N
-        sign, e, vanishes = 1, [0] * (N // 2), False
-        for k, r in powers.items():
-            if not r:
-                continue
-            folded = p_to_h(k, N)
-            if folded is None:
-                if r < 0:
-                    raise ZeroSeries("p_%d is the zero series at level %d" % (k, N))
-                vanishes = True
-                continue
-            s, vec = folded
-            if r % 2:
-                sign *= s
-            for i, x in enumerate(vec.e):
-                e[i] += r * x
-        return vanishes, sign, ExpVector(N, e)
-
     def monomial(self, powers):
         """prod p_k^r over the (k, r) items of powers, as the one Siegel
-        product that fold gives.  When a factor p_k with k = 0 mod N occurs,
-        the result is the zero series to precN times the product of the other
-        factors."""
-        vanishes, sign, vec = self.fold(powers)
+        product that fold_p gives.  When a factor p_k with k = 0 mod N
+        occurs, the result is the zero series to precN times the product of
+        the other factors."""
+        vanishes, sign, vec = fold_p(self.N, powers.items())
         rest = product_series(vec, self.precN).to_qseries(sign)
         return QSeries.zero(self.N, self.precN) * rest if vanishes else rest
 
@@ -281,7 +259,7 @@ def _agreement_report(check, expansion, lhs, rhs, n=None):
 
 def _grouped(terms):
     """sum coeff * term over the (coeff, fold) pairs, each fold
-    (vanishes, sign, vec) from CurveExpansion.fold: the signed coefficient of
+    (vanishes, sign, vec) from unit_lattice.fold_p: the signed coefficient of
     every exponent vector whose terms do not cancel, those with a zero factor
     dropped."""
     groups = Counter()
@@ -372,10 +350,10 @@ def defining_equation_report(expansion):
     """
     N = expansion.N
     if N == 4:
-        _, _, rest = expansion.fold({4: 1, 2: -5})
+        _, _, rest = fold_p(N, [(4, 1), (2, -5)])
         holds = expansion.precN + _lead(rest) > 0 and expansion.p_report(4)["pass"]
     else:
-        u, v = (expansion.fold(pw) for pw in _recurrence_powers(N))
+        u, v = (fold_p(N, pw.items()) for pw in _recurrence_powers(N))
         holds = not _grouped([(1, u), (-1, v)]) and all(
             expansion.p_report(k)["pass"] for k in _reached(N)
         )
@@ -430,13 +408,14 @@ def p_consistency_report(expansion, n):
     """
     if n < 1:
         raise ValueError("the p-checks start at n = 1, got %d" % n)
+    N = expansion.N
     if n >= 5:
-        u, v = (expansion.fold(pw) for pw in _recurrence_powers(n))
+        u, v = (fold_p(N, pw.items()) for pw in _recurrence_powers(n))
         rhs = [(1, u), (-1, v)]
     else:
         ((i, j), eps), = divpoly.P_BASE[n].terms.items()
-        rhs = [(eps * (-1) ** (i + j), expansion.fold({2: i - 5 * j, 4: j}))]
-    return _identity_report("p_consistency", expansion, expansion.fold({n: 1}), rhs, n)
+        rhs = [(eps * (-1) ** (i + j), fold_p(N, [(2, i - 5 * j), (4, j)]))]
+    return _identity_report("p_consistency", expansion, fold_p(N, [(n, 1)]), rhs, n)
 
 
 def d_consistency_report(expansion):
@@ -456,7 +435,7 @@ def d_consistency_report(expansion):
     3s + ord(r) + P + 1, P the valence bound of those terms (_d_window).
     """
     N = expansion.N
-    _, sign, bvec = expansion.fold({2: 1})
+    _, sign, bvec = fold_p(N, [(2, 1)])
     rvec = d_to_h(N) - bvec.scale(3)
     short = CurveExpansion(N, _d_window(expansion, bvec, rvec))
     s = short.b.ord
@@ -479,7 +458,7 @@ def _d_window(expansion, bvec, rvec):
     3 s_b + W + min(kappa, o), which reaches the proof top 3 s_b + o + P + 1
     from W = P + 1 + max(0, o - kappa) on."""
     N, precN = expansion.N, expansion.precN
-    cvanishes, _, cvec = expansion.fold({4: 1, 2: -5})
+    cvanishes, _, cvec = fold_p(N, [(4, 1), (2, -5)])
     if cvanishes:
         return precN
     terms = divpoly.D_COFACTOR.terms
@@ -500,6 +479,6 @@ def express2_series_report(expansion):
     N = expansion.N
     m = N // 2
     partner = m if N % 2 else m - 1
-    _, sign, vec = expansion.fold({partner: 1})
-    return _identity_report("express2_series", expansion, expansion.fold({m + 1: 1}),
+    _, sign, vec = fold_p(N, [(partner, 1)])
+    return _identity_report("express2_series", expansion, fold_p(N, [(m + 1, 1)]),
                             [(1, (False, sign, vec + v_to_h(N)))], n=m + 1)

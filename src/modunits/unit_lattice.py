@@ -27,6 +27,7 @@ from math import prod
 from operator import mul
 from typing import Tuple
 
+from .qseries import ZeroSeries
 from .siegel import fold_index, product_series
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "d_to_h",
     "v_to_h",
     "p_to_h",
+    "fold_p",
     "to_p_expression",
     "expand_p_expression",
     "decompose_series",
@@ -261,18 +263,40 @@ def v_to_h(N):
 
 
 def p_to_h(n, N):
-    """Exponent vector of p_n = t^(n^2-1) h_{(n/N,0)} / h_{(1/N,0)}.
+    """Exponent vector of p_n = t^(n^2-1) h_{(n/N,0)} / h_{(1/N,0)}, the
+    fold_p of p_n alone: (sign, ExpVector) with all indices folded into
+    [1, m], or None when n = 0 mod N (p_n is the zero function there)."""
+    vanishes, sign, vec = fold_p(N, [(n, 1)])
+    return None if vanishes else (sign, vec)
 
-    Returns (sign, ExpVector) with all indices folded into [1, m], or None
-    when n = 0 mod N (p_n is the zero function there).  With r = n^2 - 1 the
-    indexed powers h_1^(2r-1) h_2^(-3r) h_3^r h_n fold in one pass.
+
+def fold_p(N, pairs, alpha=0):
+    """Fold d^alpha prod p_k^r over the (k, r) pairs, k >= 1, to
+    (vanishes, sign, vec): the Siegel exponent vector and sign of the
+    product, and whether a factor p_k with k = 0 mod N (the zero function)
+    occurs, which leaves vec and sign those of the other factors.  A
+    negative power of such a factor raises ZeroSeries.
+
+    With p_k = t^(k^2-1) h_{(k/N,0)} / h_{(1/N,0)} and d = (t h_{(1/N,0)})^12,
+    the indexed powers fold in one pass and t = h_1^2 h_2^(-3) h_3 enters
+    once, to its total power.
     """
-    if n < 1:
-        raise ValueError("p_n is indexed by n >= 1")
-    if n % N == 0:
-        return None
-    r = n * n - 1
-    return _fold_accumulate(N, [(1, 2 * r - 1), (2, -3 * r), (3, r), (n, 1)])
+    tpow = ones = 12 * alpha
+    vanishes = False
+    powers = []
+    for k, r in pairs:
+        if k < 1:
+            raise ValueError("p_n is indexed by n >= 1")
+        if k % N:
+            tpow += r * (k * k - 1)
+            ones -= r
+            powers.append((k, r))
+        elif r < 0:
+            raise ZeroSeries("p_%d is the zero series at level %d" % (k, N))
+        elif r:
+            vanishes = True
+    sign, vec = _fold_accumulate(N, [(1, 2 * tpow + ones), (2, -3 * tpow), (3, tpow)] + powers)
+    return vanishes, sign, vec
 
 
 def to_p_expression(e):
@@ -283,20 +307,14 @@ def to_p_expression(e):
 
 
 def expand_p_expression(p):
-    """Expand a PExpression back over the Siegel basis.  With
-    p_n = t^(n^2-1) h_{(n/N,0)} / h_{(1/N,0)} and d = (t h_{(1/N,0)})^12, the
-    indexed powers fold in one pass and t enters once, to its total power.
-    Returns (sign, ExpVector); composing with to_p_expression is the identity
-    on S."""
-    N = p.N
-    m = N // 2
-    low, high = N - m - 1, m + 1
-    ones = 12 * p.alpha - sum(p.pexp)
-    tpow = 12 * p.alpha + p.beta * (low * low - high * high)
-    powers = [(k, ek) for k, ek in enumerate(p.pexp, start=1) if ek]
-    tpow += sum(ek * (k * k - 1) for k, ek in powers)
-    sign, vec = _fold_accumulate(N, [(1, ones), (low, p.beta), (high, -p.beta)] + powers)
-    return sign, vec + t_to_h(N).scale(tpow)
+    """Expand a PExpression back over the Siegel basis: the fold_p of its
+    p-powers and (p_{N-m-1} / p_{m+1})^beta, with d^alpha.  Returns
+    (sign, ExpVector); composing with to_p_expression is the identity on S."""
+    m = p.N // 2
+    pairs = [(k, ek) for k, ek in enumerate(p.pexp, start=1) if ek]
+    pairs += [(p.N - m - 1, p.beta), (m + 1, -p.beta)]
+    _, sign, vec = fold_p(p.N, pairs, p.alpha)
+    return sign, vec
 
 
 def decompose_series(fstar, N):

@@ -4,17 +4,19 @@ Everything here is deliberately naive (dense lists, no precision tracking, no
 reuse of the library's arithmetic kernels) so that derived expected values are
 computed along a different path than the code under test.  The exceptions
 compose the library's series arithmetic (h_star, pow_int, inv, QSeries
-products) or its dictionary vectors (t_to_h, d_to_h, p_to_h):
-product_series_by_powers and decompose_series_greedy, the references for the
-one-pass recurrence in both directions, p_monomial_by_powers, the reference
-for the p-monomials of CurveExpansion, expand_p_expression_by_vectors, the
-reference for the one-pass fold, eval_poly_by_terms, the reference for
-the Horner evaluation and for the recurrence check of p_n, and
-p_consistency_undivided, the reference for p_consistency_report, which
-groups the terms of p_n = u - v (or of p_n = P_n(b, c) for n <= 4) by
-exponent vector and compares a unit equation divided by p_n; the oracle
-builds u and v as undivided Siegel products and compares them with p_n on
-the window.  defining_equation_by_evaluation and express2_by_series, the
+products) or its dictionary vectors (t_to_h, d_to_h and fold_index, never
+fold_p): product_series_by_powers and decompose_series_greedy, the
+references for the one-pass recurrence in both directions,
+p_vector_by_definition and fold_p_by_vectors, the references for the one
+fold from p-monomials to Siegel vectors (unit_lattice.fold_p),
+p_monomial_by_powers, the reference for the p-monomials of CurveExpansion,
+expand_p_expression_by_vectors, the reference for expand_p_expression,
+eval_poly_by_terms, the reference for the Horner evaluation and for the
+recurrence check of p_n, and p_consistency_undivided, the reference for
+p_consistency_report, which groups the terms of p_n = u - v (or of
+p_n = P_n(b, c) for n <= 4) by exponent vector and compares a unit equation
+divided by p_n; the oracle builds u and v as undivided Siegel products and
+compares them with p_n on the window.  defining_equation_by_evaluation and express2_by_series, the
 series forms of the two checks that the same grouping decides exactly, and
 d_consistency_by_evaluation, the undivided form of the d check, use the
 library's Horner evaluation and series product.
@@ -131,6 +133,42 @@ def product_series_by_powers(e, precN):
     return SiegelProduct(N, sum(e.e) % 4, lead, fstar)
 
 
+def p_vector_by_definition(k, N):
+    """(sign, vec) of p_k = t^(k^2-1) h_{(k/N,0)} / h_{(1/N,0)} read off its
+    definition: t_to_h scaled by k^2 - 1, plus h_k at the index fold_index
+    gives, with its sign, minus h_1; None when k = 0 mod N, where p_k is the
+    zero function."""
+    from modunits.siegel import fold_index
+    from modunits.unit_lattice import t_to_h
+
+    if k % N == 0:
+        return None
+    j, sign = fold_index(k, N)
+    return sign, t_to_h(N).scale(k * k - 1) + ExpVector.unit(N, j) - ExpVector.unit(N, 1)
+
+
+def fold_p_by_vectors(N, pairs, alpha=0):
+    """unit_lattice.fold_p by adding up d_to_h scaled by alpha and the
+    p_vector_by_definition of each factor scaled by its power, with the
+    signs of the factors of odd power."""
+    from modunits.qseries import ZeroSeries
+    from modunits.unit_lattice import d_to_h
+
+    vanishes, sign, total = False, 1, d_to_h(N).scale(alpha)
+    for k, r in pairs:
+        folded = p_vector_by_definition(k, N)
+        if folded is None:
+            if r < 0:
+                raise ZeroSeries("p_%d is the zero series at level %d" % (k, N))
+            vanishes = vanishes or r > 0
+            continue
+        s, vec = folded
+        total = total + vec.scale(r)
+        if r % 2:
+            sign *= s
+    return vanishes, sign, total
+
+
 def p_monomial_by_powers(N, precN, pairs):
     """prod p_k^r over the (k, r) pairs by series arithmetic: each p_k its own
     Siegel product (the zero series when k = 0 mod N), raised by the
@@ -139,11 +177,10 @@ def p_monomial_by_powers(N, precN, pairs):
     Siegel product."""
     from modunits.qseries import QSeries
     from modunits.siegel import product_series
-    from modunits.unit_lattice import p_to_h
 
     acc = QSeries.one(N, precN)
     for k, r in pairs:
-        folded = p_to_h(k, N)
+        folded = p_vector_by_definition(k, N)
         if folded is None:
             pk = QSeries.zero(N, precN)
         else:
@@ -322,7 +359,7 @@ def decompose_series_greedy(fstar, N):
 def expand_p_expression_by_vectors(p):
     """expand_p_expression by adding up the dictionary vectors of d and of
     every p_n, each scaled by its exponent, with the signs of the folds."""
-    from modunits.unit_lattice import d_to_h, p_to_h
+    from modunits.unit_lattice import d_to_h
 
     N = p.N
     m = N // 2
@@ -331,15 +368,15 @@ def expand_p_expression_by_vectors(p):
     if p.alpha:
         total = total + d_to_h(N).scale(p.alpha)
     if p.beta:
-        s1, low = p_to_h(N - m - 1, N)
-        s2, high = p_to_h(m + 1, N)
+        s1, low = p_vector_by_definition(N - m - 1, N)
+        s2, high = p_vector_by_definition(m + 1, N)
         total = total + (low - high).scale(p.beta)
         if p.beta % 2:
             sign *= s1 * s2
     for k, ek in enumerate(p.pexp, start=1):
         if not ek:
             continue
-        s, vec = p_to_h(k, N)
+        s, vec = p_vector_by_definition(k, N)
         total = total + vec.scale(ek)
         if s < 0 and ek % 2:
             sign = -sign

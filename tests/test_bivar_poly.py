@@ -209,6 +209,26 @@ def test_mul_takes_the_kronecker_path_above_the_cutoff(monkeypatch):
     assert len(calls) == 1
 
 
+def test_mul_takes_the_dict_path_between_the_break_even_and_half_a_slot(monkeypatch):
+    # on random sparse operands the Kronecker path loses to the dict loop
+    # from about 0.4 slots per pair on, so a product at 0.46 stays on the
+    # dict loop although its packed form has under one slot per two pairs
+    f = BivarPoly({(t % 9, t * t % 11): t + 1 for t in range(40)})
+    g = BivarPoly({(3 * t % 9, t % 11): t + 2 for t in range(40)})
+    pairs = len(f.terms) * len(g.terms)
+    assert pairs >= bivar_poly._KRONECKER_MIN_PAIRS
+    assert 0.4 < _kronecker_frame(f, g)[-1] / pairs <= 0.5
+    calls = []
+
+    def counted(f, g, *frame):
+        calls.append((len(f.terms), len(g.terms)))
+        return _mul_kronecker(f, g, *frame)
+
+    monkeypatch.setattr(bivar_poly, "_mul_kronecker", counted)
+    assert f * g == mul_by_term_pairs(f, g)
+    assert not calls
+
+
 def test_div_exact_examples():
     assert div_exact(B ** 2 * C, B) == B * C
     # recurrence intermediate: (P4*P2^2 - P0*P3^2) / P2 * P1 = -C*B^6

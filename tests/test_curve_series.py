@@ -21,6 +21,7 @@ from modunits.curve_series import (
 )
 from modunits.divpoly import D_COFACTOR, DISCRIMINANT
 from modunits.qseries import QSeries, ZeroSeries
+from modunits.unit_lattice import fold_p
 from support import (
     DIVPOLY,
     d_consistency_by_evaluation,
@@ -37,6 +38,20 @@ from support import (
 @lru_cache(maxsize=None)
 def _expansion(N, precN):
     return expand_curve(N, precN)
+
+
+def _corrupted_fold_p(k, shift=0, negate=False, add=None):
+    """fold_p with a corrupted dictionary entry for p_k: each factor p_k read
+    as p_{k+shift}, with the opposite sign when negate and times the unit of
+    the vector add."""
+    def fold(N, pairs, alpha=0):
+        pairs = list(pairs)
+        r = sum(x for j, x in pairs if j == k)
+        vanishes, sign, vec = fold_p(N, [(j + shift if j == k else j, x) for j, x in pairs], alpha)
+        if negate and r % 2:
+            sign = -sign
+        return vanishes, sign, vec if add is None else vec + add.scale(r)
+    return fold
 
 
 def test_defining_equation_small_levels():
@@ -149,8 +164,11 @@ def _window(lhs, rhs):
 def _recurrence_series(exp, n):
     """The right side of the check of p_n, n >= 5, as the check compares it:
     u - v divided by p_n (by 1 when n = 0 mod N) and shifted by q^(s/N)."""
-    u, v = (exp.fold(pw) for pw in _recurrence_powers(n))
-    return _divided(exp, exp.fold({n: 1}), [(1, u), (-1, v)])[1]
+    from modunits import curve_series
+
+    fold = curve_series.fold_p
+    u, v = (fold(exp.N, pw.items()) for pw in _recurrence_powers(n))
+    return _divided(exp, fold(exp.N, [(n, 1)]), [(1, u), (-1, v)])[1]
 
 
 def test_eval_poly_horner_matches_term_evaluation():
@@ -264,14 +282,13 @@ def test_p_consistency_fails_on_perturbed_series(monkeypatch):
     # the folded vectors instead, and a corrupted vector of a factor of u
     # alone fails it.  At N = 5, n = 10 both carry the zero factor p_5, so
     # u - v = 0 - 0 whatever the other factors are
-    real = curve_series.p_to_h
     for N, n, k in ((6, 6, 5), (5, 5, 4)):
         u, v = (_vector(N, _powers(pairs)) for pairs in recurrence_pairs(n))
         assert u == v, (N, n)
         assert p_consistency_report(expand_curve(N, 6 * N), n)["pass"], (N, n)
-        monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
+        monkeypatch.setattr(curve_series, "fold_p", _corrupted_fold_p(k, shift=N))
         report = p_consistency_report(expand_curve(N, 6 * N), n)
-        monkeypatch.setattr(curve_series, "p_to_h", real)
+        monkeypatch.setattr(curve_series, "fold_p", fold_p)
         assert not report["pass"], (N, n)
     assert p_consistency_report(expand_curve(5, 30), 10)["pass"]
 
@@ -284,8 +301,7 @@ def test_zero_index_check_sees_past_the_window(monkeypatch):
 
     N, n = 5, 15
     assert p_consistency_report(expand_curve(N, 15 * N), n)["pass"]
-    real = curve_series.p_to_h
-    monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == 9 else j, M))
+    monkeypatch.setattr(curve_series, "fold_p", _corrupted_fold_p(9, shift=N))
     exp = expand_curve(N, 15 * N)
     assert exp.p(n).first_difference(_recurrence_series(exp, n)) is None
     report = p_consistency_report(exp, n)
@@ -295,18 +311,17 @@ def test_zero_index_check_sees_past_the_window(monkeypatch):
 
 
 def test_p_consistency_fails_on_corrupted_dictionary(monkeypatch):
-    # p_to_h gives the check its divisor p_n and the factors of u and v:
+    # fold_p gives the check its divisor p_n and the factors of u and v:
     # handing one index the vector of p_{k+N}, a different unit, fails it,
     # also at n = 0 mod N when the index is a factor of u alone
     from modunits import curve_series
 
-    real = curve_series.p_to_h
     for N, n, k in ((7, 5, 5), (9, 6, 6), (10, 8, 8), (11, 7, 7), (6, 7, 7), (5, 9, 9),
                     (6, 6, 5), (5, 5, 4)):
         assert p_consistency_report(expand_curve(N, 6 * N), n)["pass"], (N, n)
-        monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
+        monkeypatch.setattr(curve_series, "fold_p", _corrupted_fold_p(k, shift=N))
         report = p_consistency_report(expand_curve(N, 6 * N), n)
-        monkeypatch.setattr(curve_series, "p_to_h", real)
+        monkeypatch.setattr(curve_series, "fold_p", fold_p)
         assert not report["pass"] and "firstFailingExponent" in report, (N, n, k)
 
 
@@ -354,37 +369,54 @@ def test_express2_reads_the_level_expansion(monkeypatch):
         assert v.to_qseries() * exp.p(partner) == (
             joint.to_qseries(sign)
         ), N
-        # and p_{m+1} and the partner are read off p_to_h: handing either the
+        # and p_{m+1} and the partner are read off fold_p: handing either the
         # vector of p_{k+N}, a different unit, fails the check, at the
         # exponent where the series comparison fails
-        real = curve_series.p_to_h
         for k in (m + 1, partner):
-            monkeypatch.setattr(curve_series, "p_to_h", lambda j, M: real(j + N if j == k else j, M))
+            monkeypatch.setattr(curve_series, "fold_p", _corrupted_fold_p(k, shift=N))
             bad = express2_series_report(expand_curve(N, precN))
             want = express2_by_series(expand_curve(N, precN))
-            monkeypatch.setattr(curve_series, "p_to_h", real)
+            monkeypatch.setattr(curve_series, "fold_p", fold_p)
             assert not bad["pass"] and "firstFailingExponent" in bad, (N, k)
             assert bad == want, (N, k)
 
 
 def test_verify_builds_each_siegel_product_once(monkeypatch):
+    # within one check, verify builds no vector twice at one precision, at
+    # any precision.  The one repeat is the d check at N = 5: c = b on
+    # X1(5), so b and c share the vector (5, -5), and the short expansion
+    # builds each at precision 4
     from collections import Counter
 
     from modunits import cli, curve_series
 
-    built = Counter()
+    checks, built = [None], Counter()
     real = curve_series.product_series
 
     def counted(vec, precN):
-        built[vec, precN] += 1
+        built[checks[-1], vec.e, precN] += 1
         return real(vec, precN)
 
+    def tagged(name):
+        real_report = getattr(curve_series, name)
+
+        def report(expansion, *args):
+            checks.append((expansion.N, name) + args)
+            try:
+                return real_report(expansion, *args)
+            finally:
+                checks.pop()
+        return report
+
     monkeypatch.setattr(curve_series, "product_series", counted)
+    for name in ("defining_equation_report", "p_consistency_report", "d_consistency_report",
+                 "express2_series_report"):
+        monkeypatch.setattr(curve_series, name, tagged(name))
     for N in range(4, 21):
-        built.clear()
         cli._verify_tasks(N, 15 * N, N // 2 + 2, 2, 1)
-        twice = [vec.e for (vec, precN), k in built.items() if precN == 15 * N and k > 1]
-        assert built and not twice, (N, twice)
+    assert built and None not in {key for key, _, _ in built}
+    twice = {key: k for key, k in built.items() if k > 1}
+    assert twice == {((5, "d_consistency_report"), (5, -5), 4): 2}
 
 
 def _powers(pairs):
@@ -525,29 +557,24 @@ def test_derived_reports_match_series_oracles(N):
 
 
 def test_corrupted_dictionary_fails_both_forms(monkeypatch):
-    # p_to_h handing b's or c's index (2 or 4) the vector of p_{k+N} changes
+    # fold_p handing b's or c's index (2 or 4) the vector of p_{k+N} changes
     # F_N(b, c) and the p-checks the derived defining equation rests on;
     # handing p_{m+1} or its partner that vector, or the opposite sign,
     # changes one side of express2.  (The sign of p_2 alone negates b and c,
     # which leaves F_5(b, c) = b - c zero; the derived form fails on it.)
     from modunits import curve_series
 
-    real = curve_series.p_to_h
-
     def shifted(k, N):
-        return lambda j, M: real(j + N if j == k else j, M)
+        return _corrupted_fold_p(k, shift=N)
 
     def negated(k, N):
-        def fold(j, M):
-            folded = real(j, M)
-            return folded if j != k else (-folded[0], folded[1])
-        return fold
+        return _corrupted_fold_p(k, negate=True)
 
     for N in range(5, 15):
         m = N // 2
         partner = m if N % 2 else m - 1
         for k, corrupt in itertools.product(sorted({2, 4, m + 1, partner}), (shifted, negated)):
-            monkeypatch.setattr(curve_series, "p_to_h", corrupt(k, N))
+            monkeypatch.setattr(curve_series, "fold_p", corrupt(k, N))
             exp = expand_curve(N, 15 * N)
             if k in (2, 4) and corrupt is shifted:
                 assert not defining_equation_report(exp)["pass"], (N, k, corrupt)
@@ -555,7 +582,7 @@ def test_corrupted_dictionary_fails_both_forms(monkeypatch):
             if k in (m + 1, partner):
                 assert not express2_series_report(exp)["pass"], (N, k, corrupt)
                 assert not express2_by_series(exp)["pass"], (N, k, corrupt)
-            monkeypatch.setattr(curve_series, "p_to_h", real)
+            monkeypatch.setattr(curve_series, "fold_p", fold_p)
 
 
 def test_p4_at_level_4_is_a_vanishing_check():
@@ -609,19 +636,13 @@ def test_corrupted_p3_fails_like_the_series_oracle(monkeypatch):
     # the exponent where P_3(b, c) = -b^3 and the p_3 series first differ
     from modunits import curve_series
 
-    real = curve_series.p_to_h
-
-    def negated(j, M):
-        folded = real(j, M)
-        return folded if j != 3 else (-folded[0], folded[1])
-
     for N in range(4, 15):
-        for corrupt in (lambda j, M: real(j + N if j == 3 else j, M), negated):
-            monkeypatch.setattr(curve_series, "p_to_h", corrupt)
+        for corrupt in (_corrupted_fold_p(3, shift=N), _corrupted_fold_p(3, negate=True)):
+            monkeypatch.setattr(curve_series, "fold_p", corrupt)
             exp = expand_curve(N, 15 * N)
             report = p_consistency_report(exp, 3)
             want = p_consistency_undivided(exp, 3)
-            monkeypatch.setattr(curve_series, "p_to_h", real)
+            monkeypatch.setattr(curve_series, "fold_p", fold_p)
             assert not report["pass"] and "firstFailingExponent" in want, N
             assert report == want, N
             assert p_consistency_report(expand_curve(N, 15 * N), 3)["pass"], N
@@ -690,7 +711,7 @@ def test_p_check_with_a_zero_factor_builds_no_series(monkeypatch):
 
     for N, n in ((6, 9), (7, 11), (6, 10)):
         exp = expand_curve(N, 15 * N)
-        u, v = (exp.fold(pw) for pw in _recurrence_powers(n))
+        u, v = (fold_p(N, pw.items()) for pw in _recurrence_powers(n))
         assert u[0] != v[0], (N, n)
         monkeypatch.setattr(curve_series, "product_series", counted)
         report = p_consistency_report(exp, n)
@@ -713,17 +734,11 @@ def test_two_term_identity_fails_past_the_window(monkeypatch):
     N, n = 6, 9
     w = ExpVector(N, (3, 0, 1))
     assert product_lead_exponent(w) == 0
-    real = curve_series.p_to_h
-
-    def corrupt(j, M):
-        folded = real(j, M)
-        return folded if j != 3 else (folded[0], folded[1] + w)
-
-    monkeypatch.setattr(curve_series, "p_to_h", corrupt)
+    monkeypatch.setattr(curve_series, "fold_p", _corrupted_fold_p(3, add=w))
     short = expand_curve(N, 1)
-    u, v = (short.fold(pw) for pw in _recurrence_powers(n))
+    u, v = (curve_series.fold_p(N, pw.items()) for pw in _recurrence_powers(n))
     assert u[0] and not v[0]
-    sides = _divided(short, short.fold({n: 1}), [(1, u), (-1, v)])
+    sides = _divided(short, curve_series.fold_p(N, [(n, 1)]), [(1, u), (-1, v)])
     assert _agreement_report("p_consistency", short, *sides, n=n)["pass"]
     report = p_consistency_report(short, n)
     assert not report["pass"] and "firstFailingExponent" not in report
@@ -860,9 +875,8 @@ def _p_check_need(N, n):
     lead - s."""
     from modunits.curve_series import _lead, _valence_bound
 
-    exp = expand_curve(N, 1)
-    r = exp.fold({n: 1})[2]
-    terms = [exp.fold(pw)[2] - r for pw in _recurrence_powers(n)]
+    r = fold_p(N, [(n, 1)])[2]
+    terms = [fold_p(N, pw.items())[2] - r for pw in _recurrence_powers(n)]
     return _valence_bound(N, terms) + 1 - min([0] + [_lead(t) for t in terms])
 
 
@@ -872,7 +886,7 @@ def _d_check_need(N):
     from modunits.unit_lattice import d_to_h
 
     exp = expand_curve(N, 10 ** 9)
-    bvec = exp.fold({2: 1})[2]
+    bvec = fold_p(N, [(2, 1)])[2]
     return _d_window(exp, bvec, d_to_h(N) - bvec.scale(3))
 
 
@@ -927,11 +941,10 @@ def test_verify_builds_no_product_past_its_proof_window(monkeypatch):
     assert built and all(key is not None for key, _, _ in built)
     for key in {key for key, _, _ in built}:
         N, name = key[:2]
-        exp = expand_curve(N, 1)
         if name == "p_consistency_report":
             n = key[2]
-            r = exp.fold({n: 1})[2]
-            terms = [exp.fold(pw)[2] - r for pw in _recurrence_powers(n)]
+            r = fold_p(N, [(n, 1)])[2]
+            terms = [fold_p(N, pw.items())[2] - r for pw in _recurrence_powers(n)]
             bound = _valence_bound(N, terms)
             for k, vec, precN in built:
                 if k == key:
@@ -940,7 +953,7 @@ def test_verify_builds_no_product_past_its_proof_window(monkeypatch):
             assert windows[key] == _lead(r) + bound + 1, key
         elif N > 4:
             assert name == "d_consistency_report", key
-            b, c = exp.fold({2: 1})[2], exp.fold({4: 1, 2: -5})[2]
+            b, c = fold_p(N, [(2, 1)])[2], fold_p(N, [(4, 1), (2, -5)])[2]
             r = d_to_h(N) - b.scale(3)
             bound = _valence_bound(N, [b.scale(i) + c.scale(j) - r for i, j in D_COFACTOR.terms])
             assert len({precN for k, _, precN in built if k == key}) == 1, key

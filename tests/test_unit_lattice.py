@@ -5,7 +5,7 @@ from math import gcd as int_gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modunits.qseries import QSeries
+from modunits.qseries import QSeries, ZeroSeries
 from modunits.siegel import h_star, product_lead_exponent, product_series
 from modunits.unit_lattice import (
     ExpVector,
@@ -17,6 +17,7 @@ from modunits.unit_lattice import (
     d_to_h,
     decompose_series,
     expand_p_expression,
+    fold_p,
     is_in_S,
     lattice_index,
     p_to_h,
@@ -29,6 +30,7 @@ from support import (
     brute_force_membership,
     decompose_series_greedy,
     expand_p_expression_by_vectors,
+    fold_p_by_vectors,
     random_vector_in_S,
 )
 
@@ -308,3 +310,20 @@ def test_expand_p_expression_matches_vector_oracle(N, alpha, beta, data):
     pexp = tuple(0 if k % N == 0 else ek for k, ek in enumerate(pexp, start=1))
     p = PExpression(N, alpha, beta, pexp)
     assert expand_p_expression(p) == expand_p_expression_by_vectors(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 40), st.integers(-2, 2), st.data())
+def test_fold_p_matches_definition_oracle(N, alpha, data):
+    # d^alpha times a random p-monomial, the zero indices k = 0 mod N with a
+    # power r >= 0 included: fold_p gives the vanishing flag, sign and vector
+    # of the p_k vectors read off their definition and added up one by one
+    def pair(k):
+        return st.tuples(st.just(k), st.integers(0 if k % N == 0 else -3, 3))
+
+    pairs = data.draw(st.lists(st.integers(1, 3 * N).flatmap(pair), max_size=8))
+    assert fold_p(N, pairs, alpha) == fold_p_by_vectors(N, pairs, alpha)
+    # a negative power of the zero function is refused
+    zero = (data.draw(st.integers(1, 3)) * N, data.draw(st.integers(-3, -1)))
+    with pytest.raises(ZeroSeries):
+        fold_p(N, pairs + [zero], alpha)
