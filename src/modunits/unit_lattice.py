@@ -16,7 +16,12 @@ Z/12 x Z/M, M = N*gcd(N, 2), and the columns k..m map onto the subgroup
 c_k = gcd(c_(k+1), 2k+1).  Reading the columns from right to left, the pivot
 of row k is the index step h_k = c_(k+1)/c_k (h_m = 12M/c_m), and each entry
 right of it is the unique solution in [0, h_j) of one linear congruence.  The
-pivots multiply to [Z^m : S] = 12M.
+pivots multiply to [Z^m : S] = 12M.  The rows are sparse: besides its pivot,
+row k has entries only in the tail columns j > k with h_j > 1, and there are
+at most two of those (m itself, and m-1 for even N, where c_(m-1) =
+gcd(c_m, N-1) = 1; for odd N, c_m divides 3).  Each tail column's congruence
+inverse is computed once per level, and each row's membership in S is
+checked on its stored nonzero entries.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd as _int_gcd
 from math import prod
-from operator import mul
+from operator import index, mul
 from typing import Tuple
 
 from .qseries import ZeroSeries
@@ -64,7 +69,9 @@ class NotAUnitProduct(ValueError):
 
 @dataclass(frozen=True)
 class ExpVector:
-    """Integer exponents over the Siegel basis indexed k = 1..floor(N/2)."""
+    """Integer exponents over the Siegel basis indexed k = 1..floor(N/2).
+    Entries are read through operator.index, so a float, Fraction or string
+    raises ValueError instead of being truncated."""
 
     N: int
     e: Tuple[int, ...]
@@ -72,7 +79,15 @@ class ExpVector:
     def __post_init__(self):
         if self.N < 4:
             raise ValueError("level N must be at least 4")
-        e = tuple(map(int, self.e))
+        try:
+            e = tuple(map(index, self.e))
+        except TypeError:
+            for x in self.e:
+                try:
+                    index(x)
+                except TypeError:
+                    raise ValueError("exponent %r is not an integer" % (x,)) from None
+            raise
         if len(e) != self.N // 2:
             raise ValueError(
                 "expected %d exponents at level %d, got %d"
@@ -155,14 +170,6 @@ def is_in_S(e):
 # -- the canonical basis of S, column by column from the right ----------------
 
 
-def _solve(a, b, n):
-    """The least x >= 0 with a*x = b mod n, for b divisible by gcd(a, n);
-    x is unique mod n/gcd(a, n)."""
-    g = _int_gcd(a, n)
-    n //= g
-    return b // g * pow(a // g, -1, n) % n
-
-
 def _chain(N):
     """The moduli c_k and the pivots h_k of the basis of S, as lists indexed
     by k = 1..m (entry 0 unused); see basis_S."""
@@ -191,33 +198,53 @@ def basis_S(N):
     and c_k = gcd(c_(k+1), 2k+1), because e_k - e_(k+1) maps to
     (0, -(2k+1)).  So the pivot of row k is the index step
     h_k = c_(k+1)/c_k, and h_m = 12M/c_m.  Row k is h_k e_k + sum x_j e_j
-    over the later columns j with h_j > 1.  With (u, v) the running phi of
+    over the tail columns j > k with h_j > 1.  With (u, v) the running phi of
     the row, x_j must bring it into the image of the columns j+1..m:
     (2j+1) x_j = v - u (j+1)^2 mod c_(j+1) for j < m, and x_m = -u mod 12
     with m^2 x_m = -v mod M.  Each has a unique solution in [0, h_j), so
     every entry is determined and the rows are the HNF.
+
+    The rows are sparse: a pivot and at most two tail entries (h_m >= 12,
+    so m is always a tail column).  Each tail column's congruence, with the
+    inverse of its reduced coefficient, is set up once per level, and each
+    row's membership in S is checked on its stored nonzero entries; every
+    other entry is 0 by construction.
     """
     c, h = _chain(N)
     m = N // 2
     M = _modulus2(N)
-    tail = [j for j in range(2, m + 1) if h[j] > 1]
+    # a*x = b mod n for x_j has the solutions x = (b/g) * inv mod n/g,
+    # g = gcd(a, n), inv the inverse of a/g mod n/g
+    tail = []
+    for j in range(2, m + 1):
+        if h[j] > 1:
+            a, n = (2 * j + 1, c[j + 1]) if j < m else (12 * m * m, M)
+            g = _int_gcd(a, n)
+            tail.append((j, j * j, (j + 1) ** 2, g, n // g, pow(a // g, -1, n // g)))
     basis = []
     for k in range(1, m + 1):
         row = [0] * m
-        row[k - 1] = h[k]
-        u, v = h[k], h[k] * k * k
-        for j in tail:
+        row[k - 1] = u = h[k]
+        v = u * k * k
+        support = [k]
+        for j, jj, j1, g, n, inv in tail:
             if j <= k:
                 continue
             if j < m:
-                x = _solve(2 * j + 1, v - u * (j + 1) ** 2, c[j + 1])
+                x = (v - u * j1) // g * inv % n
             else:
-                x = (12 * _solve(12 * m * m, u * m * m - v, M) - u) % h[m]
+                x = (12 * ((u * jj - v) // g * inv % n) - u) % h[m]
             row[j - 1] = x
-            u, v = u + x, v + x * j * j
-        basis.append(ExpVector(N, tuple(row)))
+            u, v = u + x, v + x * jj
+            support.append(j)
+        vec = ExpVector(N, tuple(row))
+        s1 = s2 = 0
+        for j in support:
+            x = vec.e[j - 1]
+            s1, s2 = s1 + x, s2 + j * j * x
+        assert s1 % 12 == 0 and s2 % M == 0, "row %d of basis_S(%d) not in S" % (k, N)
+        basis.append(vec)
     assert len(basis) == m, "basis lost rank"
-    assert all(is_in_S(e) for e in basis)
     return basis
 
 
@@ -342,8 +369,8 @@ def decompose_series(fstar, N):
     a = [0] * (m + 1)
     mult = [0] * (m + 1)
     for n in range(1, m + 1):
-        a[n] = n * f[n] - sum(a[j] * f[n - j] for j in range(1, n))
-        mult[n] = -(a[n] + sum(x * mult[x] for x in range(1, n) if n % x == 0)) // n
+        a[n] = n * f[n] - sum(map(mul, a[1:n], f[n - 1:0:-1]))
+        mult[n] = -(a[n] + sum(x * mult[x] for x in range(1, n // 2 + 1) if n % x == 0)) // n
     if N % 2 == 0:
         mult[m] //= 2
     # a floored division above (m_n not integral, or odd at q^(1/2)) yields a

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -87,7 +88,8 @@ def test_lattice_index_reported():
 
 
 def test_basis_matches_elimination_oracle():
-    for N in range(4, 61):
+    # N = 4..200 is the range the lattice-dictionary benchmark runs
+    for N in range(4, 201):
         assert basis_S(N) == basis_S_by_kernel(N), "N=%d" % N
 
 
@@ -102,6 +104,12 @@ def test_basis_is_canonical_hnf():
             assert row[i] > 0
             det *= row[i]
             assert all(0 <= rows[r][i] < row[i] for r in range(i)), "N=%d col %d" % (N, i)
+            # sparse rows: the pivot and the tail columns j > i with a pivot
+            # above 1, at most three entries, as basis_S's membership check reads them
+            support = [j for j, x in enumerate(row) if x]
+            assert len(support) <= 3, "N=%d row %d" % (N, i)
+            assert all(j == i or rows[j][j] > 1 for j in support), "N=%d row %d" % (N, i)
+        # the dense check, independent of the one basis_S makes on the nonzeros
         assert all(is_in_S(vec) for vec in basis)
         assert lattice_index(N) == det == 12 * N * int_gcd(N, 2), "N=%d" % N
 
@@ -265,6 +273,11 @@ def test_exp_vector_validation():
         ExpVector(7, (1, 2))
     with pytest.raises(ValueError):
         ExpVector(3, (1,))
+    # non-integral entries are refused, not truncated, and the error names them
+    for bad in (1.9, 2.0, Fraction(7, 2), Fraction(4, 1), "3"):
+        with pytest.raises(ValueError, match="exponent %s is not an integer" % re.escape(repr(bad))):
+            ExpVector(7, (1, bad, 3))
+    assert ExpVector(7, [True, 2, -3]).e == (1, 2, -3)
 
 
 def _outcome(fn, *args):
