@@ -20,15 +20,14 @@ pivots multiply to [Z^m : S] = 12M.  The rows are sparse: besides its pivot,
 row k has entries only in the tail columns j > k with h_j > 1, and there are
 at most two of those (m itself, and m-1 for even N, where c_(m-1) =
 gcd(c_m, N-1) = 1; for odd N, c_m divides 3).  Each tail column's congruence
-inverse is computed once per level, and each row's membership in S is
-checked on its stored nonzero entries.
+inverse is computed once per level.  A row costs its nonzeros plus one dense
+tuple: no zero is read, and S-membership is checked on the stored nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd as _int_gcd
-from math import prod
 from operator import index, mul
 from typing import Tuple
 
@@ -96,15 +95,30 @@ class ExpVector:
         object.__setattr__(self, "e", e)
 
     @classmethod
+    def _sparse(cls, N, entries):
+        """ExpVector(N, e), e zero but for the given (k, x) entries, validating only those."""
+        if N < 4:
+            raise ValueError("level N must be at least 4")
+        e = [0] * (N // 2)
+        for k, x in entries:
+            if not 1 <= k <= len(e):
+                raise ValueError("basis index %d outside [1, %d]" % (k, len(e)))
+            try:
+                e[k - 1] = index(x)
+            except TypeError:
+                raise ValueError("exponent %r is not an integer" % (x,)) from None
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "N", N)
+        object.__setattr__(vec, "e", tuple(e))
+        return vec
+
+    @classmethod
     def zero(cls, N):
         return cls(N, (0,) * (N // 2))
 
     @classmethod
     def unit(cls, N, k):
-        m = N // 2
-        if not 1 <= k <= m:
-            raise ValueError("basis index %d outside [1, %d]" % (k, m))
-        return cls(N, (0,) * (k - 1) + (1,) + (0,) * (m - k))
+        return cls._sparse(N, [(k, 1)])
 
     @property
     def sum1(self):
@@ -206,9 +220,9 @@ def basis_S(N):
 
     The rows are sparse: a pivot and at most two tail entries (h_m >= 12,
     so m is always a tail column).  Each tail column's congruence, with the
-    inverse of its reduced coefficient, is set up once per level, and each
-    row's membership in S is checked on its stored nonzero entries; every
-    other entry is 0 by construction.
+    inverse of its reduced coefficient, is set up once per level.  A row is
+    built from its nonzeros alone into one dense tuple, and its membership in
+    S is checked on the stored nonzeros; every other entry is 0 by design.
     """
     c, h = _chain(N)
     m = N // 2
@@ -223,10 +237,9 @@ def basis_S(N):
             tail.append((j, j * j, (j + 1) ** 2, g, n // g, pow(a // g, -1, n // g)))
     basis = []
     for k in range(1, m + 1):
-        row = [0] * m
-        row[k - 1] = u = h[k]
+        u = h[k]
         v = u * k * k
-        support = [k]
+        entries = [(k, u)]
         for j, jj, j1, g, n, inv in tail:
             if j <= k:
                 continue
@@ -234,12 +247,11 @@ def basis_S(N):
                 x = (v - u * j1) // g * inv % n
             else:
                 x = (12 * ((u * jj - v) // g * inv % n) - u) % h[m]
-            row[j - 1] = x
+            entries.append((j, x))
             u, v = u + x, v + x * jj
-            support.append(j)
-        vec = ExpVector(N, tuple(row))
+        vec = ExpVector._sparse(N, entries)
         s1 = s2 = 0
-        for j in support:
+        for j, _ in entries:
             x = vec.e[j - 1]
             s1, s2 = s1 + x, s2 + j * j * x
         assert s1 % 12 == 0 and s2 % M == 0, "row %d of basis_S(%d) not in S" % (k, N)
@@ -249,10 +261,12 @@ def basis_S(N):
 
 
 def lattice_index(N):
-    """The index [Z^m : S], the product of the pivots h_k of basis_S(N), read
-    from the c_k chain without building the rows.  The ledger map phi is
-    onto, so this is 12*N*gcd(N, 2)."""
-    return prod(_chain(N)[1][1:])
+    """The index [Z^m : S], the product of the pivots h_k of basis_S(N).  The
+    ledger map phi is onto Z/12 x Z/M (e_1 maps to (1, 1) and t to (0, -1)),
+    so this is 12*M = 12*N*gcd(N, 2)."""
+    if N < 4:
+        raise ValueError("level N must be at least 4")
+    return 12 * _modulus2(N)
 
 
 # -- the generator dictionary --------------------------------------------------
@@ -328,9 +342,10 @@ def fold_p(N, pairs, alpha=0):
 
 def to_p_expression(e):
     """Convert e in S to the p-basis: alpha = sum1/12, beta = sum2/(N gcd(2,N))."""
-    if not is_in_S(e):
+    (alpha, r1), (beta, r2) = map(divmod, e.ledger, (12, _modulus2(e.N)))
+    if r1 or r2:
         raise NotInS("vector %r fails the S congruences" % (e,))
-    return PExpression(e.N, e.sum1 // 12, e.sum2 // _modulus2(e.N), e.e)
+    return PExpression(e.N, alpha, beta, e.e)
 
 
 def expand_p_expression(p):

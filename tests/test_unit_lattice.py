@@ -94,7 +94,7 @@ def test_basis_matches_elimination_oracle():
 
 
 def test_basis_is_canonical_hnf():
-    for N in range(4, 301):
+    for N in range(4, 401):
         basis = basis_S(N)
         rows = [vec.e for vec in basis]
         assert len(rows) == N // 2
@@ -111,7 +111,31 @@ def test_basis_is_canonical_hnf():
             assert all(j == i or rows[j][j] > 1 for j in support), "N=%d row %d" % (N, i)
         # the dense check, independent of the one basis_S makes on the nonzeros
         assert all(is_in_S(vec) for vec in basis)
+        # rows come from the sparse constructor, which reads only the nonzeros:
+        # each must be the vector the validating constructor builds
+        for vec in basis:
+            dense = ExpVector(N, vec.e)
+            assert vec == dense and hash(vec) == hash(dense), (N, vec)
+            assert all(type(x) is int for x in vec.e), (N, vec)
         assert lattice_index(N) == det == 12 * N * int_gcd(N, 2), "N=%d" % N
+    with pytest.raises(ValueError):
+        lattice_index(3)
+
+
+def test_sparse_constructor_validation():
+    assert ExpVector._sparse(7, [(3, -2), (1, 5)]) == ExpVector(7, (5, 0, -2))
+    assert ExpVector._sparse(9, []) == ExpVector.zero(9)
+    vec = ExpVector._sparse(7, [(2, True)])
+    assert vec.e == (0, 1, 0) and all(type(x) is int for x in vec.e)
+    # the same refusals, with the same message, as the validating constructor
+    for bad in (1.9, 2.0, Fraction(7, 2), "3", None):
+        with pytest.raises(ValueError, match="exponent %s is not an integer" % re.escape(repr(bad))):
+            ExpVector._sparse(7, [(1, 1), (2, bad)])
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError, match="basis index %d outside" % k):
+            ExpVector._sparse(7, [(k, 1)])
+    with pytest.raises(ValueError, match="level N"):
+        ExpVector._sparse(3, [(1, 12)])
 
 
 def test_dictionary_vectors_at_7():
@@ -174,6 +198,11 @@ def test_to_p_expression_examples():
     assert (z.alpha, z.beta, z.pexp) == (0, 0, (0, 0, 0, 0))
     with pytest.raises(NotInS):
         to_p_expression(ExpVector(7, (1, 0, 0)))
+    # each congruence alone: (7, 0, 0) fails only sum e = 0 mod 12, and
+    # (12, 0, 0) only sum k^2 e = 0 mod 7
+    for e in ((7, 0, 0), (12, 0, 0)):
+        with pytest.raises(NotInS):
+            to_p_expression(ExpVector(7, e))
 
 
 def test_dictionary_round_trip_random():
