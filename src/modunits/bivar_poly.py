@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 import re
 from math import gcd as _int_gcd
-from operator import add, sub
 
 __all__ = [
     "BivarPoly",
@@ -320,15 +319,13 @@ _SHEARS = (0, -1, -2)
 
 def _frame_boxes(f):
     """[(lowest, highest) of s = i + j and of v = j + a*s over the terms of f,
-    for each shear a of _SHEARS]: v starts as j, and each next shear takes s
-    off it once more."""
-    i_s, v = zip(*f.terms)
-    s = list(map(add, i_s, v))
+    for each shear a of _SHEARS]."""
+    s = [i + j for i, j in f.terms]
     lo, hi = min(s), max(s)
     boxes = []
-    for _ in _SHEARS:
+    for a in _SHEARS:
+        v = [j + a * t for (_, j), t in zip(f.terms, s)]
         boxes.append((lo, hi, min(v), max(v)))
-        v = list(map(sub, v, s))
     return boxes
 
 

@@ -51,24 +51,22 @@ Polynomials are evaluated by Horner in C.  D(b, c) = d is checked divided
 by b^3, as the quartic D / B^3 at (b, c) against the one Siegel product
 d / b^3, so no power of b above b^2 is built.
 
-Every series comparison stops at its proof window.  The orders of a Siegel
-product at the cusps of X1(N) are known in closed form (cusp_orders), so a
-unit equation sum +-f_i = 1, its sides divided by r, has a valence bound P,
-the pole order that sum +-f_i - 1 can have away from infinity
-(_valence_bound): if the equation fails, its shifted sides differ at some
+Every series comparison stops at its proof window, by one rule.  The orders
+of a Siegel product at the cusps of X1(N) are known in closed form
+(cusp_orders), so a unit equation sum +-f_i = 1, its sides divided by r,
+has a valence bound P, the pole order that sum +-f_i - 1 can have away from
+infinity (_valence_bound): if it fails, its shifted sides differ at some
 exponent at or below q^((s + P)/N).  Agreement below the proof top
-s + P + 1 is thus a proof and a failure shows below it, so _divided builds
-each term only up to that top.  The d check is the unit equation
-sum Q_ij b^(i+3) c^j / d = 1, with proof top 3s + ord(d / b^3) + P + 1, and
-evaluates Q at the least precision whose compared window reaches it
-(_d_window).  Where the proof top lies past the expansion's window, a check
-compares that window as before, and a pass there is agreement, not a proof.
-No bound is used for the d check at N = 4 (c is the zero function) or when
-a term's vector is not in S.  Either way the verdict and the first failing
-exponent are those of the whole window.  Each Siegel product is built
-where its check reads it, to that check's window; an expansion keeps only
-its own level's b, c and powers of b, built on first use, and its p-check
-reports, and shares nothing with another expansion.
+s + P + 1 (_proof_top) is thus a proof and a failure shows below it, so
+each term is built only up to that top (_window); the d check states
+d = sum Q_ij b^(i+3) c^j the same way and evaluates Q at its terms' largest
+window.  Where the top lies past the expansion's window, or no bound is
+used (a vector not in S, or c = 0 at N = 4 in the d check), a check
+compares that whole window, and a pass there is agreement, not a proof.
+Each Siegel product is built where its check reads it, to that check's
+window; an expansion keeps only its own level's b, c and powers of b, built
+on first use, and its p-check reports, and shares nothing with another
+expansion.
 """
 
 from __future__ import annotations
@@ -279,27 +277,41 @@ def _divisor(N, lhs):
     return sign, vec, _lead(vec)
 
 
+def _proof_top(N, lhs, rhs):
+    """(divisor, top) for lhs = sum coeff * term over the (coeff, fold) pairs
+    of rhs: the _divisor (sign, vec, s) of lhs and the proof top s + P + 1,
+    P the valence bound of the divided terms with no zero factor, or top None
+    when one of them is not a unit of X1(N)."""
+    _, rvec, s = divisor = _divisor(N, lhs)
+    bound = _valence_bound(N, [fold[2] - rvec for _, fold in rhs if not fold[0]])
+    return divisor, None if bound is None else s + bound + 1
+
+
+def _window(precN, top, s, vec):
+    """The precision of the reduced series of the divided term vec: up to
+    q^(top/N) once shifted by q^(s/N), at least its leading term and at most
+    precN, or precN when there is no top."""
+    return precN if top is None else max(1, min(precN, top - s - _lead(vec)))
+
+
 def _divided(expansion, lhs, rhs, top=None):
     """The sides of lhs = sum coeff * term over the (coeff, fold) pairs of
     rhs as series, each divided by the unit r of lhs (r = 1 when lhs
     vanishes) and shifted by q^(s/N), s/N the leading exponent of r: lhs
     becomes q^(s/N) (the zero series when it vanishes) and each term one
     Siegel product; a term with a zero factor is dropped.  Each series is
-    built up to q^(top/N), at least its leading term and at most the
-    expansion's precision: precN in the reduced series, so with no top every
-    series ends where the expansion's precision puts it."""
+    built to its _window: up to q^(top/N), at least its leading term and at
+    most the expansion's precision, precN in the reduced series, so with no
+    top every series ends where the expansion's precision puts it."""
     N, precN = expansion.N, expansion.precN
     rsign, rvec, s = _divisor(N, lhs)
-
-    def window(vec):
-        return precN if top is None else max(1, min(precN, top - s - _lead(vec)))
 
     def series(fold):
         _, sign, vec = fold
         vec = vec - rvec
-        return product_series(vec, window(vec)).to_qseries(sign * rsign, s)
+        return product_series(vec, _window(precN, top, s, vec)).to_qseries(sign * rsign, s)
 
-    zero = QSeries.zero(N, s + window(ExpVector.zero(N)))
+    zero = QSeries.zero(N, s + _window(precN, top, s, ExpVector.zero(N)))
     left = zero if lhs[0] else series(lhs)
     terms = [(coeff, series(fold)) for coeff, fold in rhs if not fold[0]]
     return left, combination(terms) if terms else zero
@@ -313,16 +325,13 @@ def _identity_report(check, expansion, lhs, rhs, n=None):
     passing check builds no series.  With three or more groups left it is a
     unit equation, decided by comparing the divided sides (_divided); that
     comparison also locates an exact failure.  Either comparison runs up to
-    the proof top s + P + 1, P the valence bound of the divided terms, where
-    agreement is a proof and a failure has shown, or over the expansion's
-    whole window when that is shorter or some term is not a unit of X1(N)."""
+    the proof top of _proof_top, where agreement is a proof and a failure has
+    shown, or over the expansion's whole window when that is shorter or some
+    term is not a unit of X1(N)."""
     left = _grouped([(-1, lhs)] + rhs)
     if not left:
         return _report(check, expansion, True, n)
-    _, rvec, s = _divisor(expansion.N, lhs)
-    divided = [fold[2] - rvec for _, fold in rhs if not fold[0]]
-    bound = _valence_bound(expansion.N, divided)
-    top = None if bound is None else s + bound + 1
+    _, top = _proof_top(expansion.N, lhs, rhs)
     lseries, rseries = _divided(expansion, lhs, rhs, top)
     if len(left) > 2:
         return _agreement_report(check, expansion, lseries, rseries, n)
@@ -430,44 +439,26 @@ def d_consistency_report(expansion):
     exponents, so the verdict and the first failing exponent are those of
     D(b, c) against d, with no power of b above b^2 and no d series built.
 
-    Divided by r = d / b^3 the check is the unit equation
-    sum Q_ij b^(i+3) c^j / d = 1, so it compares up to its proof top
-    3s + ord(r) + P + 1, P the valence bound of those terms (_d_window).
+    As an identity of Siegel products, d = sum Q_ij b^(i+3) c^j with each
+    term folded, its proof top is _proof_top's, and Q is evaluated at the
+    largest _window of its sides' terms, where the compared window reaches
+    that top (at the whole precision at N = 4, where c vanishes).
     """
-    N = expansion.N
+    N, precN = expansion.N, expansion.precN
+    lhs = (False, 1, d_to_h(N))
+    rhs = [(coeff * (-1) ** (i + j + 1), fold_p(N, [(2, i + 3 - 5 * j), (4, j)]))
+           for (i, j), coeff in divpoly.D_COFACTOR.terms.items()]
+    (_, dvec, ds), top = _proof_top(N, lhs, rhs)
+    if any(fold[0] for _, fold in rhs):
+        top = None
+    W = max(_window(precN, top, ds, fold[2] - dvec) for _, fold in [(1, lhs)] + rhs)
+    short = CurveExpansion(N, W)
     _, sign, bvec = fold_p(N, [(2, 1)])
-    rvec = d_to_h(N) - bvec.scale(3)
-    short = CurveExpansion(N, _d_window(expansion, bvec, rvec))
     s = short.b.ord
     q = short.eval_poly(divpoly.D_COFACTOR)
-    lhs = QSeries(N, q.ord + 3 * s, q.coeffs, q.precN + 3 * s)
-    rhs = product_series(rvec, short.precN).to_qseries(-sign, 3 * s)
-    return _agreement_report("d_consistency", expansion, lhs, rhs)
-
-
-def _d_window(expansion, bvec, rvec):
-    """The least reduced-series precision W at which the d check compares up
-    to its proof top, or the expansion's precN when that is lower or no bound
-    holds: at N = 4, where c is the zero function, or when a term is not a
-    unit of X1(N).
-
-    With b, c and r = d / b^3 starting at q^(s_b/N), q^(s_c/N) and
-    q^(o/N), Horner keeps Q(b, c) to q^((W + kappa)/N),
-    kappa = min s_b i + s_c j over the terms of Q, and r runs to
-    q^((o + W)/N).  So the compared window, shifted by q^(3 s_b/N), ends at
-    3 s_b + W + min(kappa, o), which reaches the proof top 3 s_b + o + P + 1
-    from W = P + 1 + max(0, o - kappa) on."""
-    N, precN = expansion.N, expansion.precN
-    cvanishes, _, cvec = fold_p(N, [(4, 1), (2, -5)])
-    if cvanishes:
-        return precN
-    terms = divpoly.D_COFACTOR.terms
-    bound = _valence_bound(N, [bvec.scale(i) + cvec.scale(j) - rvec for i, j in terms])
-    if bound is None:
-        return precN
-    sb, sc = _lead(bvec), _lead(cvec)
-    kappa = min(i * sb + j * sc for i, j in terms)
-    return max(1, min(precN, bound + 1 + max(0, _lead(rvec) - kappa)))
+    left = QSeries(N, q.ord + 3 * s, q.coeffs, q.precN + 3 * s)
+    right = product_series(dvec - bvec.scale(3), W).to_qseries(-sign, 3 * s)
+    return _agreement_report("d_consistency", expansion, left, right)
 
 
 def express2_series_report(expansion):

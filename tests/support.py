@@ -19,7 +19,9 @@ divided by p_n; the oracle builds u and v as undivided Siegel products and
 compares them with p_n on the window.  defining_equation_by_evaluation and express2_by_series, the
 series forms of the two checks that the same grouping decides exactly, and
 d_consistency_by_evaluation, the undivided form of the d check, use the
-library's Horner evaluation and series product.
+library's Horner evaluation and series product.  d_window_by_leads, the
+reference for the window at which the d check evaluates Q, derives it from
+leading exponents and the library's valence bound.
 divpoly_sequential, the reference for the top-down build of P_n, and
 factor_P_over_F_by_trial_division, the reference for the factorisation of
 P_n read off the divisor walk, use the library's products and exact
@@ -39,6 +41,7 @@ Z[B, C], for the specialisation tables of X1(5) and X1(6); and
 coefficient_gcd, for Gauss's lemma on series.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from modunits.divpoly import DivPolyCache
@@ -303,6 +306,43 @@ def d_consistency_by_evaluation(expansion):
 
     return _agreement_report("d_consistency", expansion,
                              expansion.eval_poly(DISCRIMINANT), expansion.d)
+
+
+def d_window_by_leads(N, precN):
+    """The precision at which the d check evaluates Q = D / B^3, from the
+    leading exponents of b, c and r = d / b^3 alone; the reference for the
+    one window rule (curve_series._window) that d_consistency_report shares
+    with the other checks.  With b, c and r starting at q^(s_b/N),
+    q^(s_c/N) and q^(o/N), Horner keeps Q(b, c) to q^((W + kappa)/N),
+    kappa = min s_b i + s_c j over the terms of Q, and r runs to
+    q^((o + W)/N).  So the compared window, shifted by q^(3 s_b/N), ends at
+    3 s_b + W + min(kappa, o), which reaches the proof top 3 s_b + o + P + 1
+    from W = P + 1 + max(0, o - kappa) on, P the valence bound of the terms
+    b^(i+3) c^j / d.  W is kept within 1..precN, and is precN at N = 4,
+    where c is the zero function, or when a term is not a unit of X1(N)."""
+    need = _d_need_by_leads(N)
+    return precN if need is None else max(1, min(precN, need))
+
+
+@lru_cache(maxsize=None)
+def _d_need_by_leads(N):
+    """P + 1 + max(0, o - kappa) of d_window_by_leads, or None."""
+    from modunits.curve_series import _valence_bound
+    from modunits.divpoly import D_COFACTOR
+    from modunits.unit_lattice import d_to_h
+
+    if N == 4:
+        return None
+    p2, p4, d = (p_vector_by_definition(2, N)[1], p_vector_by_definition(4, N)[1], d_to_h(N))
+    b, c, r = p2, p4 - p2.scale(5), d - p2.scale(3)
+    bound = _valence_bound(N, [b.scale(i) + c.scale(j) - r for i, j in D_COFACTOR.terms])
+    if bound is None:
+        return None
+    l2, l4, ld = (int(N * sum(ek * lead_exponent(k, N) for k, ek in enumerate(vec.e, start=1)))
+                  for vec in (p2, p4, d))
+    sb, sc, o = l2, l4 - 5 * l2, ld - 3 * l2
+    kappa = min(i * sb + j * sc for i, j in D_COFACTOR.terms)
+    return bound + 1 + max(0, o - kappa)
 
 
 def express2_by_series(expansion):

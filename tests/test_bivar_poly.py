@@ -137,6 +137,19 @@ def test_division_polynomial_products_take_the_steepest_frame():
     assert _kronecker_frame(line, line)[0] == 0
 
 
+@pytest.mark.parametrize("shears", [(0, -2), (-2,), (-1, -2)])
+def test_kronecker_frame_boxes_follow_each_shear(monkeypatch, shears):
+    # each frame's box is computed from its own shear, so the product is
+    # right whichever shears are tried, not only the default (0, -1, -2)
+    from modunits.divpoly import DivPolyCache
+
+    P = DivPolyCache().P
+    f, g = P(16), P(15)
+    monkeypatch.setattr(bivar_poly, "_SHEARS", shears)
+    assert _kronecker_frame(f, g)[0] in shears
+    assert _mul_kronecker(f, g) == mul_by_term_pairs(f, g)
+
+
 def test_kronecker_slot_bound_is_attained():
     # f = +-M (1 + B + ... + B^r): the B^r coefficient of f * f is (r + 1) M^2,
     # the bound itself, and M makes its bit length a whole number of bytes,

@@ -26,6 +26,16 @@ def test_poly_text_examples():
     assert text.startswith("B^3*C^4")
 
 
+def test_console_script_entry_point(monkeypatch, capsys):
+    # the `modunits` script pyproject.toml installs calls cli.run, which
+    # exits with main's code
+    monkeypatch.setattr(sys, "argv", ["modunits", "poly", "F", "--n", "8"])
+    with pytest.raises(SystemExit) as done:
+        cli.run()
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "B*C^2 - 2*B^2 + 3*B*C - C^2\n"
+
+
 def test_poly_json():
     code, text = run_cli("poly", "F", "--n", "8", "--format", "json")
     assert code == 0

@@ -25,6 +25,7 @@ from modunits.unit_lattice import fold_p
 from support import (
     DIVPOLY,
     d_consistency_by_evaluation,
+    d_window_by_leads,
     defining_equation_by_evaluation,
     eval_poly_by_terms,
     express2_by_series,
@@ -648,6 +649,26 @@ def test_corrupted_p3_fails_like_the_series_oracle(monkeypatch):
             assert p_consistency_report(expand_curve(N, 15 * N), 3)["pass"], N
 
 
+def test_d_check_by_the_identity_rule_matches_horner():
+    # the d check decided by _identity_report on its folded terms, as the
+    # p-checks are, gives the Horner check's report; ROADMAP item 2 rests on
+    # this.  (At N = 4 and precN <= 4 they differ: Horner fails on c's empty
+    # window, while the identity rule drops c's vanishing terms.)
+    from modunits.curve_series import _identity_report
+    from modunits.unit_lattice import d_to_h
+
+    cases = [(N, precN) for N in range(5, 17)
+             for precN in sorted(set(range(1, 31)) | {40, 60, 15 * N})]
+    cases += [(N, 15 * N) for N in (20, 30, 40, 60, 61)]
+    assert len(cases) == 401
+    for N, precN in cases:
+        exp = expand_curve(N, precN)
+        rhs = [(coeff * (-1) ** (i + j + 1), fold_p(N, [(2, i + 3 - 5 * j), (4, j)]))
+               for (i, j), coeff in D_COFACTOR.terms.items()]
+        by_rule = _identity_report("d_consistency", exp, (False, 1, d_to_h(N)), rhs)
+        assert by_rule == d_consistency_report(exp), (N, precN)
+
+
 def test_d_check_fails_on_shifted_d_vector(monkeypatch):
     # d times h_k to the least power that keeps it a unit of X1(N) (a vector
     # of S on the one index k) fails the divided check and the evaluation of
@@ -880,14 +901,30 @@ def _p_check_need(N, n):
     return _valence_bound(N, terms) + 1 - min([0] + [_lead(t) for t in terms])
 
 
+class _ShortExpansion(Exception):
+    """Raised in place of building the d check's short expansion."""
+
+
+def _d_check_window(N, precN):
+    """The precision at which d_consistency_report evaluates Q at level N
+    and precision precN, read off the CurveExpansion it builds for that;
+    nothing is evaluated."""
+    from modunits import curve_series
+
+    def short(level, W):
+        raise _ShortExpansion(W)
+
+    exp = expand_curve(N, precN)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve_series, "CurveExpansion", short)
+        with pytest.raises(_ShortExpansion) as built:
+            d_consistency_report(exp)
+    return built.value.args[0]
+
+
 def _d_check_need(N):
     """The least precN at which the d check compares up to its proof top."""
-    from modunits.curve_series import _d_window
-    from modunits.unit_lattice import d_to_h
-
-    exp = expand_curve(N, 10 ** 9)
-    bvec = fold_p(N, [(2, 1)])[2]
-    return _d_window(exp, bvec, d_to_h(N) - bvec.scale(3))
+    return _d_check_window(N, 10 ** 9)
 
 
 def test_proof_windows_pinned():
@@ -897,6 +934,20 @@ def test_proof_windows_pinned():
     assert max(_p_check_need(40, n) for n in range(5, 40 // 2 + 3)) == 35
     assert [_d_check_need(N) for N in (60, 120, 121, 200)] == [289, 1153, 1816, 3601]
     assert all(_d_check_need(N) <= 15 * N for N in range(5, 121))
+
+
+def test_d_window_matches_the_leading_exponent_oracle(monkeypatch):
+    # the d check's window, from the one rule on its terms' proof windows,
+    # is the one the leading exponents of b, c and d / b^3 give; the d check
+    # reads one valence bound per level, computed once here
+    from modunits import curve_series
+
+    real = curve_series._valence_bound
+    bounds = lru_cache(maxsize=None)(lambda N, vecs: real(N, list(vecs)))
+    monkeypatch.setattr(curve_series, "_valence_bound", lambda N, vecs: bounds(N, tuple(vecs)))
+    for N in range(4, 201):
+        for precN in (1, 2, 5, 10, 50, 15 * N, 10 ** 6):
+            assert _d_check_window(N, precN) == d_window_by_leads(N, precN), (N, precN)
 
 
 def test_verify_builds_no_product_past_its_proof_window(monkeypatch):

@@ -23,7 +23,7 @@ from modunits.divpoly import (
     DivPolyCache,
     FactorizationIncomplete,
 )
-from support import compose, divpoly_sequential, factor_P_over_F_by_trial_division
+from support import DIVPOLY, compose, divpoly_sequential, factor_P_over_F_by_trial_division
 
 # the printed tables, in factored form
 P_TABLE = {
@@ -231,6 +231,13 @@ def test_factor_p_over_f_matches_trial_division():
     cache = DivPolyCache()
     for n in range(2, 31):
         assert cache.factor_P_over_F(n) == factor_P_over_F_by_trial_division(cache, n), n
+
+
+def test_b_valuation_of_p_d():
+    # a_d, the lowest power of B in P_d that the divisor walk shifts out, is
+    # floor(d^2 / 3); the generator vectors of ROADMAP item 4 are built on it
+    for d in range(2, 46):
+        assert DIVPOLY.factor_P_over_F(d)[1][3] == d * d // 3, d
 
 
 def test_factor_p_over_f_rejects_a_corrupted_divisor():
