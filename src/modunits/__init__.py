@@ -13,7 +13,6 @@ from .bivar_poly import (
     NotDivisible,
     RatPoly,
     div_exact,
-    parse_poly,
     render_poly,
 )
 from .curve_series import (
@@ -57,7 +56,6 @@ __all__ = [
     "NotDivisible",
     "div_exact",
     "render_poly",
-    "parse_poly",
     "DivPolyCache",
     "DISCRIMINANT",
     "FactorizationIncomplete",

@@ -23,7 +23,6 @@ unpack_slots, also serve the Kronecker path of the series product in qseries.
 from __future__ import annotations
 
 import heapq
-import re
 from math import gcd as _int_gcd
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "remove_common",
     "render_poly",
     "render_obj",
-    "parse_poly",
     "poly_to_obj",
     "poly_from_obj",
 ]
@@ -659,46 +657,6 @@ def render_poly(f):
 
 def render_rat(r):
     return render_obj(rat_to_obj(r))
-
-
-_FACTOR_RE = re.compile(r"^(?:(\d+)|([BC])(?:\^(\d+))?)$")
-
-
-def parse_poly(text):
-    """Parse the canonical text form back into a BivarPoly."""
-    s = text.replace("**", "^")
-    s = re.sub(r"\s+", "", s)
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return ZERO
-    out = {}
-    for chunk in re.findall(r"[+-]?[^+-]+", s):
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign = -1
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError("dangling sign in %r" % text)
-        coeff = sign
-        degb = degc = 0
-        for factor in chunk.split("*"):
-            m = _FACTOR_RE.match(factor)
-            if not m:
-                raise ValueError("bad factor %r in %r" % (factor, text))
-            if m.group(1) is not None:
-                coeff *= int(m.group(1))
-            else:
-                e = int(m.group(3)) if m.group(3) else 1
-                if m.group(2) == "B":
-                    degb += e
-                else:
-                    degc += e
-        key = (degb, degc)
-        out[key] = out.get(key, 0) + coeff
-    return BivarPoly(out)
 
 
 def poly_to_obj(f):

@@ -13,17 +13,19 @@ to integer powers is a SiegelProduct: the power of i, the leading exponent
 and the reduced series, which SiegelProduct.to_qseries turns into a plain
 rational series, with a sign and a shift by q^(shift/N), in one pass.
 
-Every reduced series is a finite product of factors (1 - q^(x/N)) below the
-precision, so a product of them to integer powers is prod_x (1 - q^(x/N))^m_x
-with integer multiplicities m_x.  Its coefficients f_n (on the q^(1/N) grid)
+Below the precision, the reduced (k/N, 0) series is the finite product of
+the factors (1 - q^(x/N)) over x > 0 with x = +-k (mod N); when 2k = N the two
+classes coincide and each such x counts twice.  So a product of them to the
+integer powers e_k is prod_x (1 - q^(x/N))^m_x, where m_x is the sum of the
+e_k whose factors include x.  Its coefficients f_n (on the q^(1/N) grid)
 follow from the logarithmic derivative: q f'/f = sum_n a_n q^(n/N) with
 a_n = -sum_{x | n} x m_x, hence f_0 = 1 and n f_n = sum_{1<=j<=n} a_j f_{n-j}.
 Each (1 - q^x)^(+-1) has integer coefficients and constant term 1, so f_n is
 an integer and the division by n is exact.  The coefficients computed so far
 are kept newest first in a deque, so each step is one sum over a_1, a_2, ...
-zipped with it and one appendleft, with no slice; when every a_n is 0 the
-product is 1 and the recurrence is skipped.  h_star and product_series share
-this one recurrence; unit_lattice.decompose_series runs it backwards.
+zipped with it and one appendleft, with no slice; the empty product is 1 and
+skips the recurrence.  h_star and product_series share this one recurrence;
+unit_lattice.decompose_series runs it backwards.
 """
 
 from __future__ import annotations
@@ -67,21 +69,6 @@ def _check_index(k, N):
         raise BadIndex("index k=%d outside [1, %d] at level %d" % (k, N // 2, N))
 
 
-def _factor_exponents(k, N, precN):
-    """Exponent numerators x < precN of the factors (1 - q^(x/N)) of the
-    reduced (k/N, 0) series: k, then n*N - k and n*N + k for n >= 1."""
-    exps = []
-    if k < precN:
-        exps.append(k)
-    n = 1
-    while n * N - k < precN:
-        exps.append(n * N - k)
-        if n * N + k < precN:
-            exps.append(n * N + k)
-        n += 1
-    return exps
-
-
 @lru_cache(maxsize=None)
 def h_star(k, N, precN):
     """Reduced series (constant term 1) of the Siegel function at (k/N, 0),
@@ -95,22 +82,18 @@ def h_star(k, N, precN):
 
 
 def _reduced_series(N, powers, precN):
-    """The product of the reduced (k/N, 0) series to the powers e for (k, e) in
-    powers: prod_x (1 - q^(x/N))^m_x, by one pass of the recurrence in the
-    module docstring."""
+    """The product of the reduced (k/N, 0) series to the nonzero powers e for
+    (k, e) in powers, by one pass of the recurrence in the module docstring:
+    each factor x = k, N - k (mod N) of h_k adds -x e to a_n at every
+    multiple n of x."""
     if precN < 1:
         raise ValueError("precN must be at least 1")
-    mult = [0] * precN
-    for k, ek in powers:
-        for x in _factor_exponents(k, N, precN):
-            mult[x] += ek
-    if not any(mult):
-        # every a_n is 0: the empty product 1
+    if not powers:
         return QSeries.one(N, precN)
     a = [0] * precN
-    for x in range(1, precN):
-        if mult[x]:
-            ax = x * mult[x]
+    for k, ek in powers:
+        for x in (*range(k, precN, N), *range(N - k, precN, N)):
+            ax = x * ek
             for n in range(x, precN, x):
                 a[n] -= ax
     # rf holds f_{n-1}, ..., f_0, so zipped with a_1, a_2, ... it pairs a_j

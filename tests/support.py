@@ -32,22 +32,26 @@ cusp classes of curve_series, enumerate the cusps of +-Gamma^1(N) as orbits
 of columns mod N and count SL_2(Z/N) by its columns.
 
 DIVPOLY is the one DivPolyCache the tests read P_n and F_n from; the
-library shares none.
+library shares none.  QUARTIC is the denominator of F_2, built from B and C.
 
 A few helpers the library no longer carries, since no command uses them,
 live here: lead_exponent, the leading exponent of one Siegel function, which
 product_series_by_powers sums; compose, substitution into a polynomial of
-Z[B, C], for the specialisation tables of X1(5) and X1(6); and
-coefficient_gcd, for Gauss's lemma on series.
+Z[B, C], for the specialisation tables of X1(5) and X1(6);
+coefficient_gcd, for Gauss's lemma on series; and read_poly, a reader of
+render_poly's canonical text, which checks that rendering is faithful.
 """
 
 from functools import lru_cache
 from math import gcd
 
+from modunits.bivar_poly import B, C, BivarPoly
 from modunits.divpoly import DivPolyCache
 from modunits.unit_lattice import ExpVector, is_in_S
 
 DIVPOLY = DivPolyCache()
+
+QUARTIC = C ** 4 - 8 * B * C ** 2 - 3 * C ** 3 + 16 * B ** 2 - 20 * B * C + 3 * C ** 2 + B - C
 
 
 def dense_mul(a, b, cap):
@@ -486,6 +490,22 @@ def sylvester_resultant_in_C(f, g):
         return total
 
     return det(mat)
+
+
+def read_poly(text):
+    """The BivarPoly that render_poly writes as text, e.g. "B*C^2 - 2*B^2 +
+    3*B*C - C^2"; canonical text only, with no error handling."""
+    terms = {}
+    for term in text.replace(" - ", " + -").split(" + "):
+        coeff, degs = 1, {"B": 0, "C": 0}
+        for factor in term.lstrip("-").split("*"):
+            if factor.isdigit():
+                coeff = int(factor)
+            else:
+                var, _, e = factor.partition("^")
+                degs[var] = int(e or 1)
+        terms[degs["B"], degs["C"]] = -coeff if term.startswith("-") else coeff
+    return BivarPoly(terms)
 
 
 def mul_by_term_pairs(f, g):

@@ -11,7 +11,6 @@ from modunits.bivar_poly import (
     RatPoly,
     div_exact,
     gcd,
-    parse_poly,
     poly_from_obj,
     poly_to_obj,
     remove_common,
@@ -19,7 +18,7 @@ from modunits.bivar_poly import (
 )
 from modunits import bivar_poly
 from modunits.bivar_poly import _kronecker_frame, _mul_kronecker, pack_slots, unpack_slots
-from support import div_exact_rescan, mul_by_term_pairs, sylvester_resultant_in_C
+from support import QUARTIC, div_exact_rescan, mul_by_term_pairs, read_poly, sylvester_resultant_in_C
 
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -323,15 +322,16 @@ def test_canonical_text_form():
 
 
 def test_parse_round_trip_table_strings():
-    for text in [
-        "B*C^2 - 2*B^2 + 3*B*C - C^2",
-        "-B^3",
-        "C^4 - 8*B*C^2 - 3*C^3 + 16*B^2 - 20*B*C + 3*C^2 + B - C",
-        "0",
-        "16",
-        "-B + C",
+    for text, f in [
+        ("B*C^2 - 2*B^2 + 3*B*C - C^2", B * C ** 2 - 2 * B ** 2 + 3 * B * C - C ** 2),
+        ("-B^3", -(B ** 3)),
+        ("C^4 - 8*B*C^2 - 3*C^3 + 16*B^2 - 20*B*C + 3*C^2 + B - C", QUARTIC),
+        ("0", ZERO),
+        ("16", 16 * ONE),
+        ("-B + C", C - B),
     ]:
-        assert render_poly(parse_poly(text)) == text
+        assert render_poly(f) == text
+        assert read_poly(text) == f
 
 
 def test_normalisation_sign_uses_grlex_c_over_b():
@@ -376,7 +376,7 @@ def test_remove_common_is_coprime_to_mods(f, mods):
 @settings(max_examples=150)
 @given(small_polys)
 def test_serialization_round_trip(f):
-    assert parse_poly(render_poly(f)) == f
+    assert read_poly(render_poly(f)) == f
     assert poly_from_obj(poly_to_obj(f)) == f
 
 
@@ -386,9 +386,8 @@ def test_ratpoly_normalisation():
     # F_2 = B^4 / D is built as B / quartic, already in lowest terms, which
     # is why RatPoly keeps the pair it is given
     f2 = DivPolyCache().F(2)
-    quartic = parse_poly("C^4 - 8*B*C^2 - 3*C^3 + 16*B^2 - 20*B*C + 3*C^2 + B - C")
     assert f2.num == B
-    assert f2.den == quartic
+    assert f2.den == QUARTIC
     assert gcd(f2.num, f2.den).is_constant
     assert f2 == RatPoly(B ** 4, DISCRIMINANT)
     # no reduction, a positive-leading denominator, equality of quotients

@@ -652,21 +652,30 @@ def test_corrupted_p3_fails_like_the_series_oracle(monkeypatch):
 def test_d_check_by_the_identity_rule_matches_horner():
     # the d check decided by _identity_report on its folded terms, as the
     # p-checks are, gives the Horner check's report; ROADMAP item 2 rests on
-    # this.  (At N = 4 and precN <= 4 they differ: Horner fails on c's empty
-    # window, while the identity rule drops c's vanishing terms.)
+    # this.  At N = 4 and precN <= 4 they differ: Horner fails on c's empty
+    # window, while the identity rule drops c's vanishing terms and passes.
     from modunits.curve_series import _identity_report
     from modunits.unit_lattice import d_to_h
 
-    cases = [(N, precN) for N in range(5, 17)
-             for precN in sorted(set(range(1, 31)) | {40, 60, 15 * N})]
-    cases += [(N, 15 * N) for N in (20, 30, 40, 60, 61)]
-    assert len(cases) == 401
-    for N, precN in cases:
-        exp = expand_curve(N, precN)
+    def by_rule(exp):
+        N = exp.N
         rhs = [(coeff * (-1) ** (i + j + 1), fold_p(N, [(2, i + 3 - 5 * j), (4, j)]))
                for (i, j), coeff in D_COFACTOR.terms.items()]
-        by_rule = _identity_report("d_consistency", exp, (False, 1, d_to_h(N)), rhs)
-        assert by_rule == d_consistency_report(exp), (N, precN)
+        return _identity_report("d_consistency", exp, (False, 1, d_to_h(N)), rhs)
+
+    for precN in range(1, 5):
+        exp = expand_curve(4, precN)
+        assert not d_consistency_report(exp)["pass"], precN
+        assert by_rule(exp) == {"check": "d_consistency", "N": 4, "precN": precN,
+                                "pass": True}, precN
+    cases = [(4, precN) for precN in range(5, 31)]
+    cases += [(N, precN) for N in range(5, 17)
+              for precN in sorted(set(range(1, 31)) | {40, 60, 15 * N})]
+    cases += [(N, 15 * N) for N in (20, 30, 40, 60, 61)]
+    assert len(cases) == 427
+    for N, precN in cases:
+        exp = expand_curve(N, precN)
+        assert by_rule(exp) == d_consistency_report(exp), (N, precN)
 
 
 def test_d_check_fails_on_shifted_d_vector(monkeypatch):

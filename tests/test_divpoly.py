@@ -14,7 +14,6 @@ from modunits.bivar_poly import (
     BivarPoly,
     div_exact,
     gcd,
-    parse_poly,
     remove_common,
 )
 from modunits.divpoly import (
@@ -23,7 +22,7 @@ from modunits.divpoly import (
     DivPolyCache,
     FactorizationIncomplete,
 )
-from support import DIVPOLY, compose, divpoly_sequential, factor_P_over_F_by_trial_division
+from support import DIVPOLY, QUARTIC, compose, divpoly_sequential, factor_P_over_F_by_trial_division
 
 # the printed tables, in factored form
 P_TABLE = {
@@ -62,9 +61,7 @@ def test_f_table():
 def test_f2():
     f2 = DivPolyCache().F(2)
     assert f2.num == B
-    assert f2.den == parse_poly(
-        "C^4 - 8*B*C^2 - 3*C^3 + 16*B^2 - 20*B*C + 3*C^2 + B - C"
-    )
+    assert f2.den == QUARTIC
     # cross-multiplied identity: F_2 = B^4 / D
     assert f2.num * DISCRIMINANT == B ** 4 * f2.den
 

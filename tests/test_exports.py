@@ -1,8 +1,11 @@
 """Every public name resolves: the names in each module's __all__ and in the
 package's, and a star import of the package in a fresh interpreter, so an
-export cannot outlive the code it names."""
+export cannot outlive the code it names.  Every module's syntax is also that
+of the oldest Python the package declares."""
 
+import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +43,15 @@ def test_star_import_in_a_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-B", "-c", script, src],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sources_parse_at_the_oldest_declared_python():
+    # syntax newer than requires-python (such as except*) fails here, not
+    # only on an interpreter of that version
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
+    sources = sorted((root / "src" / "modunits").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, minor))
