@@ -60,27 +60,21 @@ def _print_key(mono):
 
 
 class BivarPoly:
-    """Immutable sparse element of Z[B, C]."""
+    """Immutable sparse element of Z[B, C], built from a dict
+    {(degB, degC): int coefficient}; zero coefficients are dropped."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                i, j = mono
-                if i < 0 or j < 0:
-                    raise ValueError("negative exponent in monomial %r" % (mono,))
-                if not isinstance(coeff, int):
-                    raise TypeError("coefficients must be int, got %r" % (coeff,))
-                if coeff:
-                    key = (i, j)
-                    c = clean.get(key, 0) + coeff
-                    if c:
-                        clean[key] = c
-                    else:
-                        clean.pop(key, None)
+        for mono, coeff in (terms or {}).items():
+            i, j = mono
+            if i < 0 or j < 0:
+                raise ValueError("negative exponent in monomial %r" % (mono,))
+            if not isinstance(coeff, int):
+                raise TypeError("coefficients must be int, got %r" % (coeff,))
+            if coeff:
+                clean[i, j] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -603,8 +597,6 @@ class RatPoly:
     def __eq__(self, other):
         if isinstance(other, RatPoly):
             return self.num * other.den == other.num * self.den
-        if isinstance(other, (BivarPoly, int)):
-            return self.num == self.den * other
         return NotImplemented
 
     def __repr__(self):
@@ -628,12 +620,9 @@ def _mono_str(i, j):
 def render_obj(obj):
     """Canonical text form of a poly_to_obj or rat_to_obj object, its terms
     in their order there, e.g. "B*C^2 - 2*B^2 + 3*B*C - C^2"; a quotient
-    over 1 is its numerator alone."""
+    is "num / (den)", as in F_2 = "B / (C^4 - 8*B*C^2 - ... + B - C)"."""
     if "num" in obj:
-        num = render_obj(obj["num"])
-        if obj["den"]["terms"] == [[0, 0, "1"]]:
-            return num
-        return "%s / (%s)" % (num, render_obj(obj["den"]))
+        return "%s / (%s)" % (render_obj(obj["num"]), render_obj(obj["den"]))
     parts = []
     for i, j, c in obj["terms"]:
         body = _mono_str(i, j)

@@ -147,7 +147,11 @@ def _cmd_poly(args, out):
                 raise _UsageError(str(exc))
             obj = _poly_obj(poly)
             if cache:
-                cache.store(kind, n, obj)
+                try:
+                    cache.store(kind, n, obj)
+                except OSError as exc:
+                    entry = cache._path(kind, n)
+                    raise _UsageError("cannot write cache entry %s: %s" % (entry, exc.strerror))
     print(render_obj(obj) if args.format == "text" else _dump(obj), file=out)
     return 0
 

@@ -41,10 +41,12 @@ class ZeroSeries(ArithmeticError):
 
 
 def _norm_coeff(c):
+    """An int, or a Fraction (as an int when whole); anything else is refused."""
     if isinstance(c, int):
         return c
-    f = Fraction(c)
-    return f.numerator if f.denominator == 1 else f
+    if not isinstance(c, Fraction):
+        raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
+    return c.numerator if c.denominator == 1 else c
 
 
 def _read_coeff(c):
@@ -306,38 +308,9 @@ class QSeries:
 
     # -- presentation --------------------------------------------------------
 
-    def _term_str(self, n, c):
-        e = Fraction(n, self.denomN)
-        if e == 0:
-            return str(c)
-        if e == 1:
-            mono = "q"
-        elif e.denominator == 1:
-            mono = "q^%d" % e.numerator
-        else:
-            mono = "q^(%s)" % e
-        if c == 1:
-            return mono
-        if c == -1:
-            return "-" + mono
-        return "%s*%s" % (c, mono)
-
     def __repr__(self):
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            s = self._term_str(self.ord + j, c)
-            if not parts:
-                parts.append(s)
-            else:
-                parts.append(" - " + s[1:] if s.startswith("-") else " + " + s)
-        tail = "O(q^(%s))" % Fraction(self.precN, self.denomN)
-        if parts:
-            return "QSeries(%s + %s)" % ("".join(parts), tail)
-        return "QSeries(%s)" % tail
-
-    __str__ = __repr__
+        coeffs = list(self.coeffs)
+        return "QSeries(%r, %r, %r, %r)" % (self.denomN, self.ord, coeffs, self.precN)
 
     # -- JSON ------------------------------------------------------------------
 

@@ -22,15 +22,14 @@ follow from the logarithmic derivative: q f'/f = sum_n a_n q^(n/N) with
 a_n = -sum_{x | n} x m_x, hence f_0 = 1 and n f_n = sum_{1<=j<=n} a_j f_{n-j}.
 Each (1 - q^x)^(+-1) has integer coefficients and constant term 1, so f_n is
 an integer and the division by n is exact.  The coefficients computed so far
-are kept newest first in a deque, so each step is one sum over a_1, a_2, ...
-zipped with it and one appendleft, with no slice; the empty product is 1 and
-skips the recurrence.  h_star and product_series share this one recurrence;
-unit_lattice.decompose_series runs it backwards.
+are kept in a list, so each step is one sum over a_1, a_2, ... zipped with
+the list read newest first through reversed, and one append, with no slice;
+the empty product is 1 and skips the recurrence.  h_star and product_series
+share this one recurrence; unit_lattice.decompose_series runs it backwards.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,14 +95,13 @@ def _reduced_series(N, powers, precN):
             ax = x * ek
             for n in range(x, precN, x):
                 a[n] -= ax
-    # rf holds f_{n-1}, ..., f_0, so zipped with a_1, a_2, ... it pairs a_j
-    # with f_{n-j} for j = 1..n
+    # reversed(f) yields f_{n-1}, ..., f_0, so zipped with a_1, a_2, ... it
+    # pairs a_j with f_{n-j} for j = 1..n
     a1 = a[1:]
-    rf = deque([1])
+    f = [1]
     for n in range(1, precN):
-        rf.appendleft(sum(map(mul, a1, rf)) // n)
-    rf.reverse()
-    return QSeries(N, 0, rf, precN)
+        f.append(sum(map(mul, a1, reversed(f))) // n)
+    return QSeries(N, 0, f, precN)
 
 
 def fold_index(n, N):

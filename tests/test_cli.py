@@ -515,3 +515,26 @@ def test_cold_poly_call_sorts_once(tmp_path, monkeypatch, fmt):
     cold = run_cli(*argv)
     assert cold[0] == 0 and len(sorts) == 1
     assert run_cli(*argv) == cold
+
+
+@pytest.mark.parametrize("case", ["entry is a directory", "directory refuses new files"])
+def test_unwritable_cache_entry_is_a_usage_error(case, tmp_path, monkeypatch, capsys):
+    # the entry cannot be written: os.replace meets a directory at its name,
+    # or tempfile.mkstemp is refused (as in a read-only directory, which
+    # chmod cannot make for root); the poly is neither printed nor left
+    # behind as a temporary file
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    if case == "entry is a directory":
+        (cache_dir / "F_000005.json").mkdir()
+    else:
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(cache_dir))
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", refuse)
+    assert run_cli("poly", "F", "--n", "5", "--cache", str(cache_dir)) == (2, "")
+    err = capsys.readouterr().err
+    entry = cache_dir / "F_000005.json"
+    assert err.startswith("error: cannot write cache entry %s: " % entry)
+    assert err.count("\n") == 1
+    assert not list(cache_dir.glob("*.tmp"))

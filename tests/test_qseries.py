@@ -45,6 +45,25 @@ def test_init_accepts_generators():
     assert g.ord == 2 and g.coeffs == (2, Fraction(1, 3)) and type(g.coeffs[0]) is int
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.1, 2.0, "1/2", "3", None])
+def test_init_refuses_coefficients_that_are_not_exact(bad):
+    # only ints and Fractions: a float or a string is refused, not turned
+    # into the fraction nearest it
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        QSeries(1, 0, [1, bad, 0], 3)
+    with pytest.raises(TypeError):
+        QSeries.from_terms(4, {0: 1, 2: bad}, 5)
+
+
+@pytest.mark.parametrize("series", [
+    QSeries(5, -2, [3, 0, -7, 1], 2),
+    QSeries(3, 1, [Fraction(-1, 2), 4], 3),
+    QSeries.zero(7, 10),
+])
+def test_repr_reads_back(series):
+    assert eval(repr(series), {"QSeries": QSeries, "Fraction": Fraction}) == series
+
+
 def test_int_windows_skip_coefficient_normalisation(monkeypatch):
     from modunits.siegel import product_series
     from modunits.unit_lattice import p_to_h
