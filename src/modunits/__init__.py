@@ -15,15 +15,12 @@ from .bivar_poly import (
     div_exact,
     render_poly,
 )
-from .curve_series import (
-    CurveExpansion,
-    PhaseNotRational,
-    expand_curve,
-)
+from .curve_series import CurveExpansion, expand_curve
 from .divpoly import DISCRIMINANT, DivPolyCache, FactorizationIncomplete
 from .qseries import QSeries, ZeroSeries
 from .siegel import (
     BadIndex,
+    PhaseNotRational,
     SiegelProduct,
     ZeroIndexError,
     fold_index,
@@ -62,6 +59,7 @@ __all__ = [
     "QSeries",
     "ZeroSeries",
     "SiegelProduct",
+    "PhaseNotRational",
     "BadIndex",
     "ZeroIndexError",
     "h_star",
@@ -84,6 +82,5 @@ __all__ = [
     "expand_p_expression",
     "decompose_series",
     "CurveExpansion",
-    "PhaseNotRational",
     "expand_curve",
 ]

@@ -599,11 +599,6 @@ class RatPoly:
             return self.num * other.den == other.num * self.den
         return NotImplemented
 
-    def __repr__(self):
-        return "RatPoly(%s)" % render_rat(self)
-
-    __str__ = __repr__
-
 
 # -- text and JSON forms -----------------------------------------------------
 
@@ -618,8 +613,8 @@ def _mono_str(i, j):
 
 
 def render_obj(obj):
-    """Canonical text form of a poly_to_obj or rat_to_obj object, its terms
-    in their order there, e.g. "B*C^2 - 2*B^2 + 3*B*C - C^2"; a quotient
+    """Canonical text form of a poly_to_obj object, its terms in their order
+    there, e.g. "B*C^2 - 2*B^2 + 3*B*C - C^2"; a quotient's {"num", "den"}
     is "num / (den)", as in F_2 = "B / (C^4 - 8*B*C^2 - ... + B - C)"."""
     if "num" in obj:
         return "%s / (%s)" % (render_obj(obj["num"]), render_obj(obj["den"]))
@@ -644,17 +639,20 @@ def render_poly(f):
     return render_obj(poly_to_obj(f))
 
 
-def render_rat(r):
-    return render_obj(rat_to_obj(r))
-
-
 def poly_to_obj(f):
-    """JSON object form: {"terms": [[degB, degC, "coeff"], ...]} in canonical order."""
+    """JSON object form: {"terms": [[degB, degC, "coeff"], ...]} in canonical
+    order, and {"num": ..., "den": ...} of two such objects for a RatPoly."""
+    if isinstance(f, RatPoly):
+        return {"num": poly_to_obj(f.num), "den": poly_to_obj(f.den)}
     return {"terms": [[m[0], m[1], str(c)] for m, c in f.sorted_terms()]}
 
 
 def poly_from_obj(obj):
-    """Inverse of poly_to_obj; raises ValueError on a malformed term."""
+    """Inverse of poly_to_obj, a RatPoly from {"num", "den"}; raises
+    ValueError on a malformed term and ZeroDivisionError on a zero
+    denominator."""
+    if "num" in obj:
+        return RatPoly(poly_from_obj(obj["num"]), poly_from_obj(obj["den"]))
     terms = {}
     for term in obj["terms"]:
         i, j, c = term
@@ -662,11 +660,3 @@ def poly_from_obj(obj):
             raise ValueError("malformed term %r" % (term,))
         terms[i, j] = int(c)
     return BivarPoly(terms)
-
-
-def rat_to_obj(r):
-    return {"num": poly_to_obj(r.num), "den": poly_to_obj(r.den)}
-
-
-def rat_from_obj(obj):
-    return RatPoly(poly_from_obj(obj["num"]), poly_from_obj(obj["den"]))

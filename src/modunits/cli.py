@@ -20,14 +20,7 @@ from math import gcd as _int_gcd
 from pathlib import Path
 
 from . import __version__, curve_series, divpoly, unit_lattice
-from .bivar_poly import (
-    RatPoly,
-    poly_from_obj,
-    poly_to_obj,
-    rat_from_obj,
-    rat_to_obj,
-    render_obj,
-)
+from .bivar_poly import poly_from_obj, poly_to_obj, render_obj
 from .qseries import QSeries
 from .siegel import h_star, product_series
 from .unit_lattice import (
@@ -83,14 +76,13 @@ class PolyDiskCache:
         if entry.get("contentHash") != self._hash(kind, n, polyobj):
             return None
         try:
-            if "num" in polyobj:
-                return rat_from_obj(polyobj)
             return poly_from_obj(polyobj)
         except (KeyError, TypeError, ValueError, ZeroDivisionError):
             return None
 
     def store(self, kind, n, polyobj):
-        """Write polyobj, the poly_to_obj or rat_to_obj object of P_n or F_n."""
+        """Write polyobj, the poly_to_obj object of P_n or F_n ({"num", "den"}
+        for F_2); a hash or version mismatch makes load skip the entry."""
         entry = {
             "kind": kind,
             "n": n,
@@ -116,21 +108,21 @@ class PolyDiskCache:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _poly_obj(poly):
-    return rat_to_obj(poly) if isinstance(poly, RatPoly) else poly_to_obj(poly)
+# the largest |n| that `poly` builds: deg P_n grows quadratically in n
+_POLY_MAX_N = 200
 
 
 def _cmd_poly(args, out):
     """Print P_n, F_n or D from one term object: the object a cold call
-    stores is the one it prints, as JSON or as text."""
+    stores is the one it prints, as JSON or as text.  A cache miss with
+    |n| > _POLY_MAX_N is refused as an input error."""
     kind = args.kind
     try:
         cache = PolyDiskCache(args.cache) if args.cache else None
     except OSError as exc:
         raise _UsageError("cannot use cache directory: %s" % exc)
-    divc = divpoly.DivPolyCache()
     if kind == "D":
-        obj = _poly_obj(divpoly.DISCRIMINANT)
+        obj = poly_to_obj(divpoly.DISCRIMINANT)
     else:
         if args.n is None:
             raise _UsageError("--n is required for kind %s" % kind)
@@ -139,13 +131,12 @@ def _cmd_poly(args, out):
             raise _UsageError("F_n needs n >= 2")
         poly = cache.load(kind, n) if cache else None
         if poly is not None:
-            obj = _poly_obj(poly)
+            obj = poly_to_obj(poly)
         else:
-            try:
-                poly = divc.P(n) if kind == "P" else divc.F(n)
-            except ValueError as exc:
-                raise _UsageError(str(exc))
-            obj = _poly_obj(poly)
+            if abs(n) > _POLY_MAX_N:
+                raise _UsageError("n=%d exceeds the guard max_n=%d" % (n, _POLY_MAX_N))
+            divc = divpoly.DivPolyCache()
+            obj = poly_to_obj(divc.P(n) if kind == "P" else divc.F(n))
             if cache:
                 try:
                     cache.store(kind, n, obj)
@@ -309,9 +300,8 @@ def _cmd_verify(args, out):
             raise _UsageError("--%s must be at least %d" % (name, least))
     reports = []
     for N in levels:
-        precN = args.prec if args.prec else 15 * N
         nmax = args.nmax if args.nmax else N // 2 + 2
-        reports.extend(_verify_tasks(N, precN, nmax, args.trials, args.seed))
+        reports.extend(_verify_tasks(N, args.prec or None, nmax, args.trials, args.seed))
     reports.sort(key=lambda r: (r["N"], r["check"], r.get("n", -1)))
     all_pass = all(r["pass"] for r in reports)
     print(_dump({"pass": all_pass, "reports": reports}), file=out)

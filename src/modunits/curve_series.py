@@ -78,11 +78,10 @@ from math import gcd
 
 from . import divpoly
 from .qseries import QSeries, ZeroSeries, combination
-from .siegel import PhaseNotRational, product_lead_exponent, product_series
+from .siegel import product_lead_exponent, product_series
 from .unit_lattice import ExpVector, d_to_h, fold_p, is_in_S, v_to_h
 
 __all__ = [
-    "PhaseNotRational",
     "CurveExpansion",
     "cusp_classes",
     "cusp_orders",

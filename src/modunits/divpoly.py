@@ -62,30 +62,20 @@ class DivPolyCache:
     """Memoised P_n / F_n computation.
 
     The cache is the only mutable state and is not locked; no instance is
-    shared at module level, and each `poly` call builds its own.  ``max_n``
-    guards against accidental huge requests (deg P_n grows quadratically);
-    pass a larger value to override.
+    shared at module level, and each `poly` call builds its own.  Any index
+    is accepted: deg P_n grows quadratically, and the size guard on a
+    requested n is the `poly` command's.
     """
 
-    def __init__(self, max_n=200):
-        self.max_n = max_n
+    def __init__(self):
         self._P = dict(enumerate(P_BASE))
         self._F = {3: B}
 
     def P(self, n):
-        """P_n, for any integer n (P_{-n} = -P_n)."""
-        if abs(n) > self.max_n:
-            raise ValueError(
-                "n=%d exceeds the guard max_n=%d; construct "
-                "DivPolyCache(max_n=...) to override" % (n, self.max_n)
-            )
+        """P_n, for any integer n (P_{-n} = -P_n); memoised for n >= 0, the
+        indices below n that the recurrence reaches built first."""
         if n < 0:
             return -self.P(-n)
-        return self._build(n)
-
-    def _build(self, n):
-        """P_n for 0 <= n, memoised; the indices below n that the recurrence
-        reaches are built first, without the guard."""
         p = self._P.get(n)
         if p is None:
             p = self._P[n] = self._compute(n)
@@ -93,7 +83,7 @@ class DivPolyCache:
 
     def _compute(self, n):
         # n >= 5, so l >= 2 and every index l-2..l+2 lies in [0, n)
-        P = self._build
+        P = self.P
         if n % 2:
             l = (n - 1) // 2
             return P(l + 2) * P(l) ** 3 - P(l + 1) ** 3 * P(l - 1)

@@ -64,10 +64,20 @@ def test_poly_usage_errors():
 
 
 def test_poly_guard_rejects_large_n(capsys):
-    assert run_cli("poly", "P", "--n", "201") == (2, "")
-    assert "n=201 exceeds the guard max_n=200" in capsys.readouterr().err
+    for kind, n in (("P", "201"), ("P", "-201"), ("F", "201")):
+        assert run_cli("poly", kind, "--n", n) == (2, "")
+        assert capsys.readouterr().err == "error: n=%s exceeds the guard max_n=200\n" % n
     code, _ = run_cli("poly", "P", "--n", "4", "--max-n", "300")
     assert code == 2
+
+
+def test_poly_guard_applies_to_a_cache_miss_only(tmp_path):
+    # an entry past the guard is read like any other; only building is refused
+    from modunits.bivar_poly import B, poly_to_obj
+
+    cli.PolyDiskCache(tmp_path).store("P", 201, poly_to_obj(B))
+    assert run_cli("poly", "P", "--n", "201", "--cache", str(tmp_path)) == (0, "B\n")
+    assert run_cli("poly", "P", "--n", "202", "--cache", str(tmp_path)) == (2, "")
 
 
 def test_series_command():
@@ -140,6 +150,46 @@ def test_verify_small_level():
         "decompose_roundtrip",
         "p_consistency",
     }
+
+
+@pytest.mark.parametrize("fault", ["decompose_series", "expand_p_expression"])
+def test_verify_reports_a_failing_round_trip(monkeypatch, fault):
+    # a round trip that comes back wrong fails its report, stops the level's
+    # trials at the first failure and leaves every other report as it was
+    from modunits.unit_lattice import basis_S
+
+    argv = ("verify", "--N", "5..7", "--trials", "3", "--seed", "1")
+    code, text = run_cli(*argv)
+    assert code == 0
+    calls = []
+    if fault == "decompose_series":
+        real = cli.decompose_series
+
+        def wrong(fstar, N):
+            calls.append(N)
+            return real(fstar, N) + basis_S(N)[0]  # another vector of S
+
+        monkeypatch.setattr(cli, "decompose_series", wrong)
+    else:
+        real = cli.unit_lattice.expand_p_expression
+
+        def wrong(pexp):
+            calls.append(pexp.N)
+            sign, vec = real(pexp)
+            return -sign, vec
+
+        monkeypatch.setattr(cli.unit_lattice, "expand_p_expression", wrong)
+    bad_code, bad_text = run_cli(*argv)
+    assert bad_code == 1 and calls == [5, 6, 7]
+    good, bad = json.loads(text), json.loads(bad_text)
+    assert good["pass"] is True and bad["pass"] is False
+    assert len(bad["reports"]) == len(good["reports"])
+    for before, after in zip(good["reports"], bad["reports"]):
+        if before["check"] == "decompose_roundtrip":
+            assert before["pass"] is True
+            assert after == {**before, "pass": False}
+        else:
+            assert after == before
 
 
 def test_verify_range_and_jobs():
@@ -463,6 +513,26 @@ def test_cache_round_trip(tmp_path):
         entry.write_text(json.dumps(bad))
         assert cli.PolyDiskCache(cache_dir).load("F", 8) is None, polyobj
         assert run_cli("poly", "F", "--n", "8", "--cache", str(cache_dir)) == cold, polyobj
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_f2_cache_round_trip(tmp_path, monkeypatch, fmt):
+    # F_2, the one quotient, is stored as {"num", "den"} and read back as
+    # the same quotient: the warm call builds nothing and prints the same
+    from modunits.divpoly import DivPolyCache
+
+    argv = ("poly", "F", "--n", "2", "--format", fmt, "--cache", str(tmp_path))
+    cold = run_cli(*argv)
+    assert cold == run_cli("poly", "F", "--n", "2", "--format", fmt)
+    entry = json.loads((tmp_path / "F_000002.json").read_text())
+    assert set(entry["polynomial"]) == {"num", "den"}
+    assert cli.PolyDiskCache(tmp_path).load("F", 2) == DivPolyCache().F(2)
+
+    def refuse(self, n):
+        raise AssertionError("F_%d built on a warm call" % n)
+
+    monkeypatch.setattr(cli.divpoly.DivPolyCache, "F", refuse)
+    assert run_cli(*argv) == cold
 
 
 def test_indented_cache_entry_still_loads(tmp_path, monkeypatch):

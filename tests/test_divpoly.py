@@ -258,16 +258,11 @@ def test_factor_p_over_f_rejects_a_corrupted_divisor():
 
 
 def test_range_guard():
-    cache = DivPolyCache(max_n=8)
-    with pytest.raises(ValueError):
-        cache.P(9)
-    cache.P(8)  # at the guard is fine
-    # the top-down build reaches only indices below n, never past the guard
-    cache = DivPolyCache(max_n=45)
+    # the top-down build reaches only indices below n, never past it; the
+    # size guard on a requested n is the poly command's (tests/test_cli.py)
+    cache = DivPolyCache()
     cache.P(45)
-    for n in (46, -46):
-        with pytest.raises(ValueError):
-            cache.P(n)
+    assert max(cache._P) == 45
 
 
 def test_top_down_matches_sequential_fill():
