@@ -3,7 +3,8 @@
 The package computes the division-polynomial values P_n and the defining
 polynomials F_n of X1(n) in Z[B, C], Siegel-function q-expansions, and the
 exponent-lattice dictionary between the {b, d, p_n} and Siegel generating
-sets, all in exact integer/rational arithmetic.
+sets, all in exact arithmetic: polynomials and series have integer
+coefficients (F_2 is the one quotient), and only exponents are rational.
 """
 
 __version__ = "0.1.0"

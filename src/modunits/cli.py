@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, curve_series, divpoly, unit_lattice
 from .bivar_poly import poly_from_obj, poly_to_obj, render_obj
-from .qseries import QSeries
+from .qseries import NotIntegral, QSeries
 from .siegel import h_star, product_series
 from .unit_lattice import (
     ExpVector,
@@ -115,15 +115,16 @@ _POLY_MAX_N = 200
 def _cmd_poly(args, out):
     """Print P_n, F_n or D from one term object: the object a cold call
     stores is the one it prints, as JSON or as text.  A cache miss with
-    |n| > _POLY_MAX_N is refused as an input error."""
+    |n| > _POLY_MAX_N is refused as an input error.  D is a constant of
+    divpoly, so it neither reads nor makes the cache directory."""
     kind = args.kind
-    try:
-        cache = PolyDiskCache(args.cache) if args.cache else None
-    except OSError as exc:
-        raise _UsageError("cannot use cache directory: %s" % exc)
     if kind == "D":
         obj = poly_to_obj(divpoly.DISCRIMINANT)
     else:
+        try:
+            cache = PolyDiskCache(args.cache) if args.cache else None
+        except OSError as exc:
+            raise _UsageError("cannot use cache directory: %s" % exc)
         if args.n is None:
             raise _UsageError("--n is required for kind %s" % kind)
         n = args.n
@@ -182,10 +183,14 @@ def _cmd_decompose(args, out):
         except ValueError as exc:
             raise _UsageError(str(exc))
     else:
+        # a reduced fraction p/q is read, and refused, as a series that is not
+        # a unit product; any other unreadable file is an input error
         try:
-            data = json.loads(Path(args.series).read_text())
-            fstar = QSeries.from_obj(data)
-        except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
+            fstar = QSeries.from_obj(json.loads(Path(args.series).read_text()))
+        except NotIntegral as exc:
+            print("decomposition failed: %s" % exc, file=sys.stderr)
+            return 1
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise _UsageError("cannot read series file: %s" % exc)
         try:
             evec = decompose_series(fstar, N)

@@ -1,6 +1,6 @@
-"""Exact truncated Puiseux series in q^(1/N) over the rationals.
+"""Exact truncated Puiseux series in q^(1/N) over the integers.
 
-A series is stored as a dense window of exact coefficients starting at its
+A series is stored as a dense window of int coefficients starting at its
 lowest known exponent, plus an explicit precision: with exponent denominator
 ``denomN``, ``QSeries(denomN, ord, coeffs, precN)`` represents
 
@@ -12,67 +12,66 @@ is identically O(...).  All arithmetic tracks precision pessimistically
 Fractional powers are deliberately not implemented: every pipeline path uses
 integer exponents only.
 
-Sums, differences, negation and scaling by a number are all one call of
+Every series the pipeline builds has integer coefficients: the reduced
+Siegel products are products of (1 - q^(x/N))^(+-1), and the unit equations
+combine them with integer scalars.  So the coefficient ring is Z: the
+constructor refuses anything that is not an int (a Fraction too), and inv
+inverts only a series whose lowest coefficient is +-1.
+
+Sums, differences, negation and scaling by an int are all one call of
 combination, the one routine for sum coeff * s and its window rule.
 
 A product needs the first n = min(len f, len g) coefficients of each factor
-and has two paths behind the one operator.  Int windows of at least a
-measured minimum length go through Kronecker substitution (Harvey,
-arXiv:0712.4046), with the slot packing that bivar_poly uses: each window is
-packed into one integer with one slot per coefficient, as wide as the bound
+and has two paths behind the one operator.  Windows of at least a measured
+minimum length go through Kronecker substitution (Harvey, arXiv:0712.4046),
+with the slot packing that bivar_poly uses: each window is packed into one
+integer with one slot per coefficient, as wide as the bound
 max|f| * max|g| * n needs, one big-integer product does the work, and the low
-n slots are read back.  Every other product, Fraction coefficients and short
-windows, sums the coefficient products of each output term.
+n slots are read back.  Shorter windows sum the coefficient products of each
+output term.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import repeat
+from math import gcd
 from operator import mul
 
 from .bivar_poly import pack_slots, unpack_slots
 
-__all__ = ["QSeries", "ZeroSeries", "combination"]
+__all__ = ["NotIntegral", "QSeries", "ZeroSeries", "combination"]
 
 
 class ZeroSeries(ArithmeticError):
     """An operation needed a nonzero (invertible) series."""
 
 
-def _norm_coeff(c):
-    """An int, or a Fraction (as an int when whole); anything else is refused."""
-    if isinstance(c, int):
-        return c
-    if not isinstance(c, Fraction):
-        raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
-    return c.numerator if c.denominator == 1 else c
+class NotIntegral(ValueError):
+    """A series file held a coefficient p/q with q > 1, which no series over
+    Z has."""
 
 
 def _read_coeff(c):
-    """A coefficient of to_obj's list: an int, or a string that to_obj would
-    write for its value."""
-    if type(c) is int:
-        return c
-    if type(c) is str:
-        f = Fraction(c)
-        if str(f) == c:
-            return f
+    """An entry of to_obj's coeffs list: an int, or the string to_obj writes
+    for one (an integer in canonical form).  A reduced fraction "p/q" with
+    q > 1 raises NotIntegral."""
+    m = type(c) is str and re.fullmatch(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?", c)
+    if type(c) is int or m and not m[2]:
+        return int(c)
+    if m and int(m[2]) > 1 and gcd(int(m[1]), int(m[2])) == 1:
+        raise NotIntegral("series has a non-integral coefficient")
     raise ValueError("coefficient %r is neither an integer nor a fraction p/q "
                      "as to_obj writes it" % (c,))
 
 
-# QSeries.__mul__ multiplies two int windows of n coefficients by one
+# QSeries.__mul__ multiplies two windows of n coefficients by one
 # big-integer product when n >= _KRONECKER_MIN_WINDOW, whatever the slot
 # width.  Measured against the coefficient sums on random windows (py3.11.7,
 # 2 cores), with coefficients of 4, 64 and 200 bits: the big product runs at
 # 0.6-0.8x for n = 16, 0.8-1.3x for n = 32 and 1.1-2.1x for n = 64, the low
 # end of each range at the widest slots (about 400 bits).
 _KRONECKER_MIN_WINDOW = 64
-
-
-def _is_int(coeffs):
-    return all(map(isinstance, coeffs, repeat(int)))
 
 
 def _mul_kronecker(fc, gc, bound):
@@ -115,8 +114,9 @@ class QSeries:
         if denomN < 1:
             raise ValueError("denomN must be a positive integer")
         coeffs = list(coeffs)
-        if not _is_int(coeffs):
-            coeffs = [_norm_coeff(c) for c in coeffs]
+        if not {int}.issuperset(map(type, coeffs)):
+            bad = next(c for c in coeffs if type(c) is not int)
+            raise TypeError("coefficients must be int, got %r" % (bad,))
         if ord + len(coeffs) != precN:
             raise ValueError("ord + len(coeffs) must equal precN")
         # normalised truncation: leading coefficient nonzero, or empty window
@@ -213,8 +213,8 @@ class QSeries:
         return QSeries.from_terms(self.denomN, {0: c}, self.precN)
 
     def _plus(self, sign, other):
-        """self + sign * other, a number other taken as a constant."""
-        if isinstance(other, (int, Fraction)):
+        """self + sign * other, an int other taken as a constant."""
+        if isinstance(other, int):
             other = self._constant(other)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -232,7 +232,7 @@ class QSeries:
         return (-self)._plus(1, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return combination([(other, self)])
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -247,7 +247,7 @@ class QSeries:
         n = precN - ord_
         fc = f.coeffs[:n]
         gc = fc if g is f else g.coeffs[:n]
-        if n >= _KRONECKER_MIN_WINDOW and _is_int(fc) and (gc is fc or _is_int(gc)):
+        if n >= _KRONECKER_MIN_WINDOW:
             bound = max(map(abs, fc)) * max(map(abs, gc)) * n
             return QSeries(self.denomN, ord_, _mul_kronecker(fc, gc, bound), precN)
         out = [sum(map(mul, fc[: k + 1], gc[k::-1])) for k in range(n)]
@@ -256,25 +256,16 @@ class QSeries:
     __rmul__ = __mul__
 
     def inv(self):
-        """Multiplicative inverse, to the same relative precision."""
+        """Multiplicative inverse, to the same relative precision.  Over Z
+        only a series whose lowest coefficient c0 is +-1 has one; 1/c0 = c0."""
         if not self.coeffs:
             raise ZeroSeries("cannot invert a series with no tracked term")
         c0 = self.coeffs[0]
-        L = len(self.coeffs)
-        inv0 = _norm_coeff(Fraction(1, 1) / c0)
-        u = [inv0] + [0] * (L - 1)
-        cs = self.coeffs
-        for k in range(1, L):
-            s = 0
-            for i in range(1, k + 1):
-                ci = cs[i]
-                if ci:
-                    s += ci * u[k - i]
-            if s:
-                if isinstance(s, int) and isinstance(c0, int) and s % c0 == 0:
-                    u[k] = -s // c0
-                else:
-                    u[k] = _norm_coeff(-Fraction(s) / c0)
+        if c0 not in (1, -1):
+            raise ValueError("lowest coefficient %d is not a unit of Z" % c0)
+        u = [c0]
+        for k in range(1, len(self.coeffs)):
+            u.append(-c0 * sum(map(mul, self.coeffs[1 : k + 1], reversed(u))))
         return QSeries(self.denomN, -self.ord, u, self.precN - 2 * self.ord)
 
     def pow_int(self, e):
@@ -298,14 +289,6 @@ class QSeries:
                 base = base * base
         return result
 
-    # -- integrality ----------------------------------------------------------
-
-    def is_integral(self):
-        """True when every tracked coefficient is an integer."""
-        return all(
-            isinstance(c, int) or c.denominator == 1 for c in self.coeffs
-        )
-
     # -- presentation --------------------------------------------------------
 
     def __repr__(self):
@@ -319,15 +302,16 @@ class QSeries:
             "denomN": self.denomN,
             "ord": self.ord,
             "precN": self.precN,
-            "coeffs": [str(Fraction(c)) for c in self.coeffs],
+            "coeffs": [str(c) for c in self.coeffs],
         }
 
     @classmethod
     def from_obj(cls, obj):
         """The series of to_obj's dict; denomN, ord and precN must be ints,
         so 7.9 or false is refused rather than truncated, and coeffs a list
-        whose entries are ints or the strings to_obj writes ("3", "-3/4"),
-        so true, 2.0 or "0.5" is refused rather than converted."""
+        whose entries are ints or the strings to_obj writes ("3", "-12"), so
+        true, 2.0, "0.5" or "2/4" is refused rather than converted.  A
+        reduced fraction ("-3/4") raises NotIntegral."""
         for key in ("denomN", "ord", "precN"):
             if type(obj[key]) is not int:
                 raise ValueError("%s must be an integer, got %r" % (key, obj[key]))

@@ -6,12 +6,11 @@ The function indexed by a = (a1, 0) with 0 < a1 <= 1/2 expands as
 
 with w = (a1^2 - a1 + 1/6)/2.  The reduced series (constant term 1) has
 integer coefficients and lives on the q^(1/N) grid; the scalar i and the
-rational exponent w are tracked separately, so the whole computation stays in
-exact rational arithmetic.  Indices outside [1, N/2] fold back via
+rational exponent w are tracked separately, so every series is over Z.  Indices outside [1, N/2] fold back via
 h_{-a} = -h_a and h_{(a1+1,0)} = -h_{(a1,0)}.  A product of these functions
 to integer powers is a SiegelProduct: the power of i, the leading exponent
 and the reduced series, which SiegelProduct.to_qseries turns into a plain
-rational series, with a sign and a shift by q^(shift/N), in one pass.
+series over Z, with a sign and a shift by q^(shift/N), in one pass.
 
 Below the precision, the reduced (k/N, 0) series is the finite product of
 the factors (1 - q^(x/N)) over x > 0 with x = +-k (mod N); when 2k = N the two
@@ -132,7 +131,7 @@ class SiegelProduct:
     fstar: QSeries
 
     def to_qseries(self, sign=1, shift=0):
-        """sign * q^(shift/N) times the unit, as a plain rational series built
+        """sign * q^(shift/N) times the unit, as a plain series over Z built
         in one pass; requires an even power of i and a leading exponent on
         the q^(1/N) grid."""
         if self.ipow % 2:

@@ -378,8 +378,6 @@ def decompose_series(fstar, N):
         )
     if fstar.is_zero or fstar.ord != 0 or fstar.coeff(0) != 1:
         raise NotAUnitProduct("series is not reduced (constant term 1)")
-    if not fstar.is_integral():
-        raise NotAUnitProduct("series has a non-integral coefficient")
     f = fstar.coeffs
     a = [0] * (m + 1)
     mult = [0] * (m + 1)

@@ -90,7 +90,8 @@ def dense_product_of_factors(exponents, cap):
         factor[0] = 1
         if e < cap:
             factor[e] = -1
-        out = dense_mul(out, factor, cap)
+        # the two-term factor first: dense_mul skips its zero entries
+        out = dense_mul(factor, out, cap)
     return out
 
 
@@ -108,6 +109,21 @@ def siegel_factor_exponents(k, N, cap):
 
 def dense_h_star(k, N, cap):
     return dense_product_of_factors(siegel_factor_exponents(k, N, cap), cap)
+
+
+def dense_reduced_product_holds(e, fstar):
+    """Whether fstar is the reduced Siegel product of the exponent vector e on
+    its whole window, checked with no division: fstar times the factors of
+    every h*_k with e_k < 0, each taken -e_k times, equals the factors of
+    every h*_k with e_k > 0, each taken e_k times, both sides expanded by
+    dense_product_of_factors."""
+    cap = fstar.precN
+    pos, neg = [], []
+    for k, ek in enumerate(e.e, start=1):
+        (pos if ek > 0 else neg).extend(siegel_factor_exponents(k, e.N, cap) * abs(ek))
+    window = [fstar.coeff(n) for n in range(cap)]
+    lhs = dense_mul(dense_product_of_factors(neg, cap), window, cap)
+    return fstar.ord == 0 and lhs == dense_product_of_factors(pos, cap)
 
 
 def lead_exponent(k, N):
@@ -446,9 +462,8 @@ def compose(f, bval, cval):
 
 
 def coefficient_gcd(s):
-    """The gcd of the tracked coefficients of an integral series (0 when none
-    is tracked): 1 exactly when the series is primitive."""
-    assert s.is_integral(), s
+    """The gcd of the tracked coefficients of a series (0 when none is
+    tracked): 1 exactly when the series is primitive."""
     return gcd(*s.coeffs)
 
 

@@ -80,6 +80,21 @@ def test_poly_guard_applies_to_a_cache_miss_only(tmp_path):
     assert run_cli("poly", "P", "--n", "202", "--cache", str(tmp_path)) == (2, "")
 
 
+def test_poly_d_leaves_the_cache_alone(tmp_path):
+    # D is a constant: --cache names a directory it neither makes nor reads,
+    # so a new path stays absent and a regular file is no error
+    plain = run_cli("poly", "D")
+    assert plain[0] == 0
+    new = tmp_path / "new"
+    assert run_cli("poly", "D", "--cache", str(new)) == plain
+    assert not new.exists()
+    afile = tmp_path / "file"
+    afile.write_text("")
+    assert run_cli("poly", "D", "--cache", str(afile), "--format", "json") == (
+        0, run_cli("poly", "D", "--format", "json")[1])
+    assert afile.read_text() == ""
+
+
 def test_series_command():
     code, text = run_cli("series", "--k", "1", "--N", "5", "--prec", "4")
     assert code == 0
@@ -127,6 +142,34 @@ def test_decompose_series_file(tmp_path):
     path.write_text(json.dumps(bogus.to_obj()))
     code, _ = run_cli("decompose", "--N", "5", "--series", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize("index", [1, 0])
+def test_decompose_series_with_a_reduced_fraction_fails(index, tmp_path, capsys):
+    # a reduced fraction is read as a series that is no unit product (exit 1),
+    # not as unreadable input; at index 0 it comes before the constant term
+    obj = QSeries.from_terms(5, {0: 1, 1: -1}, 4).to_obj()
+    obj["coeffs"][index] = "-3/4"
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("decompose", "--N", "5", "--series", str(path)) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "decomposition failed: series has a non-integral coefficient\n"
+
+
+@pytest.mark.parametrize("N", [5, 8, 13])
+def test_series_file_decomposes_to_its_unit_vector(N, tmp_path):
+    # the series command's JSON read back by decompose --series: h*_k is the
+    # product of the unit vector at k
+    path = tmp_path / "series.json"
+    for k in range(1, N // 2 + 1):
+        code, text = run_cli("series", "--k", str(k), "--N", str(N), "--prec", str(3 * N))
+        assert code == 0
+        path.write_text(text)
+        code, text = run_cli("decompose", "--N", str(N), "--series", str(path))
+        assert code == 0, (N, k)
+        want = [int(j == k) for j in range(1, N // 2 + 1)]
+        assert json.loads(text)["evector"]["e"] == want, (N, k)
 
 
 def test_decompose_usage():

@@ -21,12 +21,14 @@ from modunits.curve_series import (
 )
 from modunits.divpoly import D_COFACTOR, DISCRIMINANT
 from modunits.qseries import QSeries, ZeroSeries
-from modunits.unit_lattice import fold_p
+from modunits.siegel import product_lead_exponent
+from modunits.unit_lattice import d_to_h, fold_p
 from support import (
     DIVPOLY,
     d_consistency_by_evaluation,
     d_window_by_leads,
     defining_equation_by_evaluation,
+    dense_reduced_product_holds,
     eval_poly_by_terms,
     express2_by_series,
     p_consistency_undivided,
@@ -66,13 +68,18 @@ def test_defining_equation_report_shape():
 
 
 def test_b_and_c_series_are_integral():
-    # desk-scale shadow of the bounded-denominator property: the window
-    # denominators all divide 1
+    # b, c and d are, up to sign and a shift by their leading exponent, the
+    # reduced Siegel products of their vectors, and those match the dense
+    # factor products, which divide by nothing, on the whole 15N window
     for N in (5, 6, 8, 9):
         exp = _expansion(N, 15 * N)
-        assert exp.b.is_integral()
-        assert exp.c.is_integral()
-        assert exp.d.is_integral()
+        for s, vec in ((exp.b, fold_p(N, [(2, 1)])[2]),
+                       (exp.c, fold_p(N, [(4, 1), (2, -5)])[2]),
+                       (exp.d, d_to_h(N))):
+            lead = s.coeffs[0]
+            assert lead in (1, -1) and s.ord == N * product_lead_exponent(vec), (N, s)
+            reduced = QSeries(N, 0, [lead * c for c in s.coeffs], 15 * N)
+            assert dense_reduced_product_holds(vec, reduced), (N, s)
 
 
 def test_c_vanishes_at_level_4():
