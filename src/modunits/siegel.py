@@ -6,8 +6,9 @@ The function indexed by a = (a1, 0) with 0 < a1 <= 1/2 expands as
 
 with w = (a1^2 - a1 + 1/6)/2.  The reduced series (constant term 1) has
 integer coefficients and lives on the q^(1/N) grid; the scalar i and the
-rational exponent w are tracked separately, so every series is over Z.  Indices outside [1, N/2] fold back via
-h_{-a} = -h_a and h_{(a1+1,0)} = -h_{(a1,0)}.  A product of these functions
+rational exponent w are tracked separately, so every series is over Z.
+Indices outside [1, N/2] fold back via h_{-a} = -h_a and
+h_{(a1+1,0)} = -h_{(a1,0)}.  A product of these functions
 to integer powers is a SiegelProduct: the power of i, the leading exponent
 and the reduced series, which SiegelProduct.to_qseries turns into a plain
 series over Z, with a sign and a shift by q^(shift/N), in one pass.
