@@ -52,16 +52,17 @@ by b^3, as the quartic D / B^3 at (b, c) against the one Siegel product
 d / b^3, so no power of b above b^2 is built.
 
 Every series comparison stops at its proof window, by one rule.  The orders
-of a Siegel product at the cusps of X1(N) are known in closed form
-(cusp_orders), so a unit equation sum +-f_i = 1, its sides divided by r,
-has a valence bound P, the pole order that sum +-f_i - 1 can have away from
-infinity (_valence_bound): if it fails, its shifted sides differ at some
-exponent at or below q^((s + P)/N).  Agreement below the proof top
-s + P + 1 (_proof_top) is thus a proof and a failure shows below it, so
-each term is built only up to that top (_window); the d check states
-d = sum Q_ij b^(i+3) c^j the same way and evaluates Q at its terms' largest
-window.  Where the top lies past the expansion's window, or no bound is
-used (a vector not in S, or c = 0 at N = 4 in the d check), a check
+of a Siegel product of S at the cusps of X1(N) are integers known in closed
+form (cusp_orders, from siegel.b2_sum), so a unit equation sum +-f_i = 1,
+its sides divided by r, has a valence bound P, the pole order that
+sum +-f_i - 1 can have away from infinity (_valence_bound): if it fails,
+its shifted sides differ at some exponent at or below q^((s + P)/N).
+Agreement below the proof top s + P + 1 (_proof_top) is thus a proof and a
+failure shows below it, so each term is built only up to that top
+(_window); the d check states d = sum Q_ij b^(i+3) c^j the same way and
+evaluates Q at its terms' largest window.  Where the top lies past the
+expansion's window, or no bound is used (a vector not in S, whose
+cusp_orders raise NotInS, or c = 0 at N = 4 in the d check), a check
 compares that whole window, and a pass there is agreement, not a proof.
 Each Siegel product is built where its check reads it, to that check's
 window; an expansion keeps only its own level's b, c and powers of b, built
@@ -72,14 +73,13 @@ expansion.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
 from . import divpoly
 from .qseries import QSeries, ZeroSeries, combination
-from .siegel import product_lead_exponent, product_series
-from .unit_lattice import ExpVector, d_to_h, fold_p, is_in_S, v_to_h
+from .siegel import b2_sum, product_series
+from .unit_lattice import ExpVector, NotInS, d_to_h, fold_p, is_in_S, v_to_h
 
 __all__ = [
     "CurveExpansion",
@@ -200,40 +200,41 @@ def cusp_classes(N):
 
 
 def cusp_orders(e):
-    """The order of the Siegel product of e at each cusp of class
+    """The orders, as ints, of the unit of e in S at the cusps of each class
     alpha = 0..m, in the cusp's local parameter: w sum_k e_k B_2(<k alpha/N>)/2
-    with w the class's width and B_2(x) = x^2 - x + 1/6 (Kubert-Lang), each
-    an integer sum over 12 N^2.  At alpha = 1 this is N times the leading
-    exponent; for e in S every order is an integer and the orders times the
-    class counts sum to 0."""
-    N = e.N
-    b2 = [6 * r * (r - N) + N * N for r in range(N)]
-    terms = [(k, ek) for k, ek in enumerate(e.e, start=1) if ek]
-    return [Fraction(width * sum(ek * b2[k * alpha % N] for k, ek in terms), 12 * N * N)
-            for alpha, (_, width) in enumerate(cusp_classes(N))]
+    with w the class's width and B_2(x) = x^2 - x + 1/6 (Kubert-Lang), that
+    is w siegel.b2_sum(e, alpha) / (12 N^2).  At alpha = 1 this is N times
+    the leading exponent, and the orders times the class counts sum to 0.
+    A vector outside S raises NotInS: its product is no function on X1(N)."""
+    if not is_in_S(e):
+        raise NotInS("vector %r fails the S congruences" % (e,))
+    return [width * b2_sum(e, alpha) // (12 * e.N * e.N)
+            for alpha, (_, width) in enumerate(cusp_classes(e.N))]
 
 
 def _valence_bound(N, vecs):
     """P = sum over the cusps c other than infinity of
     max(0, -min ord_c(f)), over the units f of the exponent vectors vecs and
-    the constant 1, or None when some vector is not in S.
+    the constant 1, or None when some vector is not in S (cusp_orders raises
+    NotInS).
 
     When sum +-f = 1 fails, the function sum +-f - 1 on X1(N) is nonzero and
     has its poles among the cusps, at most P of them away from infinity
     counted with order, so by the valence formula its order at infinity, in
     q^(1/N), is at most P: two sides of such an identity that agree up to
     q^(P/N) agree exactly."""
-    if not all(map(is_in_S, vecs)):
+    try:
+        orders = [cusp_orders(vec) for vec in vecs]
+    except NotInS:
         return None
-    orders = [cusp_orders(vec) for vec in vecs]
-    return int(sum(count * max([0] + [-o[alpha] for o in orders])
-                   for alpha, (count, _) in enumerate(cusp_classes(N)) if alpha != 1))
+    return sum(count * max([0] + [-o[alpha] for o in orders])
+               for alpha, (count, _) in enumerate(cusp_classes(N)) if alpha != 1)
 
 
 def _lead(vec):
-    """N times the leading exponent of vec's Siegel product, an integer for a
-    product on the q^(1/N) grid."""
-    return int(vec.N * product_lead_exponent(vec))
+    """N times the leading exponent of vec's Siegel product, b2_sum(vec) over
+    12 N, an integer for a product on the q^(1/N) grid."""
+    return b2_sum(vec) // (12 * vec.N)
 
 
 def _report(check, expansion, holds, n=None, bad=None):

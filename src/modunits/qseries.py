@@ -61,8 +61,8 @@ def _read_coeff(c):
         return int(c)
     if m and int(m[2]) > 1 and gcd(int(m[1]), int(m[2])) == 1:
         raise NotIntegral("series has a non-integral coefficient")
-    raise ValueError("coefficient %r is neither an integer nor a fraction p/q "
-                     "as to_obj writes it" % (c,))
+    raise ValueError("coefficient %r is neither an int nor its canonical decimal "
+                     "string" % (c,))
 
 
 # QSeries.__mul__ multiplies two windows of n coefficients by one

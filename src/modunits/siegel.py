@@ -11,7 +11,9 @@ Indices outside [1, N/2] fold back via h_{-a} = -h_a and
 h_{(a1+1,0)} = -h_{(a1,0)}.  A product of these functions
 to integer powers is a SiegelProduct: the power of i, the leading exponent
 and the reduced series, which SiegelProduct.to_qseries turns into a plain
-series over Z, with a sign and a shift by q^(shift/N), in one pass.
+series over Z, with a sign and a shift by q^(shift/N), in one pass.  Its
+leading exponent is b2_sum(e) / (12 N^2), and the one integer routine
+b2_sum also gives the orders at the cusps (curve_series.cusp_orders).
 
 Below the precision, the reduced (k/N, 0) series is the finite product of
 the factors (1 - q^(x/N)) over x > 0 with x = +-k (mod N); when 2k = N the two
@@ -43,6 +45,7 @@ __all__ = [
     "PhaseNotRational",
     "SiegelProduct",
     "h_star",
+    "b2_sum",
     "product_lead_exponent",
     "fold_index",
     "product_series",
@@ -151,16 +154,21 @@ class SiegelProduct:
         )
 
 
+def b2_sum(e, alpha=1):
+    """sum_k e_k (6 r (r - N) + N^2) with r = k alpha mod N, that is
+    12 N^2 sum_k e_k B_2(<k alpha/N>)/2: at alpha = 1, 12 N^2 times the
+    leading exponent of the Siegel product of e, and at a class alpha of
+    cusps the integer that curve_series.cusp_orders reads its order from."""
+    N = e.N
+    rs = (k * alpha % N for k in range(1, len(e.e) + 1))
+    return sum(ek * (6 * r * (r - N) + N * N) for ek, r in zip(e.e, rs) if ek)
+
+
 def product_lead_exponent(e):
     """The leading q-exponent of the product over k of the (k/N, 0) Siegel
     functions to the powers e(k): the sum of e(k) ((k/N)^2 - k/N + 1/6) / 2,
-    read off the exponent vector without building the series."""
-    N = e.N
-    # ek ((k/N)^2 - k/N + 1/6) / 2 = ek (6k^2 - 6kN + N^2) / (12N^2)
-    return Fraction(
-        sum(ek * (6 * k * (k - N) + N * N) for k, ek in enumerate(e.e, start=1) if ek),
-        12 * N * N,
-    )
+    read off the exponent vector as b2_sum(e) / (12 N^2)."""
+    return Fraction(b2_sum(e), 12 * e.N * e.N)
 
 
 def product_series(e, precN):

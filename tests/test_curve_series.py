@@ -847,9 +847,59 @@ def test_cusp_orders_on_basis_S(N):
     counts = [count for count, _ in cusp_classes(N)]
     for vec in basis_S(N):
         orders = cusp_orders(vec)
-        assert all(o.denominator == 1 for o in orders), (N, vec)
+        assert all(type(o) is int for o in orders), (N, vec)
         assert sum(count * o for count, o in zip(counts, orders)) == 0, (N, vec)
         assert orders[1] == N * product_lead_exponent(vec), (N, vec)
+
+
+@pytest.mark.parametrize("N", range(5, 13))
+def test_vector_outside_S_has_no_cusp_orders_and_no_bound(N):
+    # h_1 alone is no function on X1(N): its orders are refused, and a unit
+    # equation with such a term has no valence bound
+    from modunits.curve_series import _valence_bound, cusp_orders
+    from modunits.unit_lattice import ExpVector, NotInS
+
+    vec = ExpVector.unit(N, 1)
+    with pytest.raises(NotInS):
+        cusp_orders(vec)
+    assert _valence_bound(N, [vec]) is None
+    assert _valence_bound(N, [ExpVector.zero(N), vec]) is None
+
+
+def test_d_check_with_a_term_outside_S_compares_its_whole_window(monkeypatch):
+    # d's vector plus (-3, 0, -1) at N = 6 stays on the q^(1/6) grid with an
+    # even power of i, but leaves S, so the d check has no proof top: it
+    # compares its whole window, as D(b, c) evaluated against that d does,
+    # and fails at 7/6 once that window reaches it
+    from modunits import curve_series
+    from modunits.unit_lattice import ExpVector, is_in_S
+
+    N, real, real_top = 6, curve_series.d_to_h, curve_series._proof_top
+    off = ExpVector(N, (-3, 0, -1))
+    assert not is_in_S(real(N) + off) and is_in_S(real(N))
+    tops = []
+
+    def proof_top(*args):
+        divisor, top = real_top(*args)
+        tops.append(top)
+        return divisor, top
+
+    monkeypatch.setattr(curve_series, "_proof_top", proof_top)
+    # with d itself every term is a unit of X1(6): the check has a proof top,
+    # and its window stops short of 15N
+    assert _d_check_window(N, 15 * N) < 15 * N and tops[-1] is not None
+    monkeypatch.setattr(curve_series, "d_to_h", lambda L: real(L) + off)
+    for precN in [*range(1, 31), 15 * N]:
+        del tops[:]
+        assert _d_check_window(N, precN) == precN, precN
+        exp = expand_curve(N, precN)
+        report = d_consistency_report(exp)
+        assert tops == [None, None], precN
+        assert report == d_consistency_by_evaluation(exp), precN
+        want = {"check": "d_consistency", "N": N, "precN": precN, "pass": precN <= 3}
+        if precN > 3:
+            want["firstFailingExponent"] = "7/6"
+        assert report == want, precN
 
 
 def _unit_equation_difference(f1, f2, top):

@@ -181,7 +181,7 @@ def test_from_obj_refuses_what_to_obj_does_not_write(bad):
     # padded text is not what to_obj writes for any series
     obj = QSeries.one(5, 3).to_obj()
     obj["coeffs"][1] = bad
-    with pytest.raises(ValueError, match="neither an integer nor a fraction") as err:
+    with pytest.raises(ValueError, match="neither an int nor its canonical decimal string") as err:
         QSeries.from_obj(obj)
     assert not isinstance(err.value, NotIntegral)
 

@@ -12,6 +12,7 @@ from modunits.siegel import (
     PhaseNotRational,
     SiegelProduct,
     ZeroIndexError,
+    b2_sum,
     fold_index,
     h_star,
     product_lead_exponent,
@@ -74,6 +75,33 @@ def test_product_lead_exponent_is_the_sum_of_lead_exponents():
             e = ExpVector(N, [rng.randint(-9, 9) for _ in range(N // 2)])
             want = sum(ek * lead_exponent(k, N) for k, ek in enumerate(e.e, start=1))
             assert product_series(e, 1).leadExp == want, (N, e.e)
+
+
+def test_b2_sum_matches_bernoulli_oracle():
+    # the one integer behind the leading exponent and every cusp order:
+    # 12 N^2 sum_k e_k B_2(<k alpha/N>)/2 at every class alpha = 0..m, with
+    # B_2(x) = x^2 - x + 1/6 in Fractions, on vectors in S and outside it
+    from modunits import cli
+    from modunits.unit_lattice import basis_S, is_in_S
+
+    def b2(x):
+        x %= 1
+        return x * x - x + Fraction(1, 6)
+
+    rng = random.Random(51)
+    seen = {True: 0, False: 0}
+    for N in range(4, 41):
+        basis = basis_S(N)
+        vecs = [cli._random_vector_in_S(rng, basis) for _ in range(2)]
+        vecs += [ExpVector(N, [rng.randint(-9, 9) for _ in range(N // 2)]) for _ in range(2)]
+        for e in vecs:
+            seen[is_in_S(e)] += 1
+            for alpha in range(N // 2 + 1):
+                want = 12 * N * N * sum(ek * b2(Fraction(k * alpha, N)) / 2
+                                        for k, ek in enumerate(e.e, start=1))
+                assert b2_sum(e, alpha) == want, (N, e.e, alpha)
+            assert b2_sum(e) == b2_sum(e, 1) == 12 * N * N * product_lead_exponent(e)
+    assert seen[True] >= 74 and seen[False] >= 60, seen
 
 
 def test_h_star_bad_index():
