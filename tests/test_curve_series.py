@@ -839,15 +839,25 @@ def test_cusp_classes_match_orbit_enumeration(N):
 def test_cusp_orders_on_basis_S(N):
     # every unit of X1(N) has a divisor of degree 0 supported on the cusps,
     # with integral orders, and its order at infinity is N times its leading
-    # exponent
+    # exponent; each order equals w sum_k e_k B_2(<k alpha/N>)/2 exactly, with
+    # B_2(x) = x^2 - x + 1/6 in Fractions, so a rounded division fails here
     from modunits.curve_series import cusp_classes, cusp_orders
     from modunits.siegel import product_lead_exponent
     from modunits.unit_lattice import basis_S
 
-    counts = [count for count, _ in cusp_classes(N)]
+    def b2(x):
+        x %= 1
+        return x * x - x + Fraction(1, 6)
+
+    classes = cusp_classes(N)
+    counts = [count for count, _ in classes]
     for vec in basis_S(N):
         orders = cusp_orders(vec)
         assert all(type(o) is int for o in orders), (N, vec)
+        exact = [width * sum(ek * b2(Fraction(k * alpha, N)) / 2
+                             for k, ek in enumerate(vec.e, 1))
+                 for alpha, (_, width) in enumerate(classes)]
+        assert orders == exact, (N, vec)
         assert sum(count * o for count, o in zip(counts, orders)) == 0, (N, vec)
         assert orders[1] == N * product_lead_exponent(vec), (N, vec)
 
